@@ -3,7 +3,8 @@
 # the concurrency tests again under ThreadSanitizer (SENT_SANITIZE=thread),
 # an ASan+UBSan pass over the failure-surface and dispatch-parity tests, a
 # chaos smoke run so the injected-fault paths are exercised on every
-# verify, and the interpreter-throughput gate (ext_sim).
+# verify, the interpreter-throughput gate (ext_sim), and the benchmark
+# package's tests plus a traced smoke (perfbench/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -199,4 +200,16 @@ rm -f build/BENCH_corpus_j1.json build/BENCH_corpus_j2.json
   --json build/BENCH_sim_smoke.json
 test -s build/BENCH_sim_smoke.json
 
-echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + vMIPS gate)"
+# Benchmark package (BENCHMARK.json, perfbench/README.md): its own build
+# tree and tests, then a short traced chaos-II smoke. Traced mode rebuilds
+# every seeded run from the layers' public calls — the trace codec's
+# stream wrappers — and exits non-zero unless each rebuilt run matches the
+# program's pooled runner, which round-trips through the codec's
+# single-buffer entry points into recycled arena buffers. sentbench
+# refuses debug and sanitizer builds and needs 2 hardware threads.
+cmake -S perfbench -B .bench_build
+cmake --build .bench_build -j "${JOBS}"
+ctest --test-dir .bench_build --output-on-failure
+.bench_build/sentbench --workload chaos-II --seconds 2 --trace 1
+
+echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + vMIPS gate + perfbench tests and traced chaos-II smoke)"

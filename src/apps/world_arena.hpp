@@ -47,11 +47,13 @@ class WorldArena {
 
   /// Bank a finished trace's capacity for a later run. The content is
   /// scrubbed immediately so a banked buffer can never leak data between
-  /// seeds. The bank is bounded: runs can recycle more buffers than they
-  /// take (the chaos ladder's salvage-loaded trace is allocated by the
-  /// loader, not the arena), and an unbounded bank would grow the
-  /// worker's footprint by one instruction stream per seed across a
-  /// 10k-run campaign. Overflow buffers are simply freed.
+  /// seeds. The pooled case runners take every buffer they recycle from
+  /// here, the chaos ladder's salvage-loaded traces included
+  /// (trace::load_trace_lenient loads into take_buffer()), so their bank
+  /// stays flat. The bank is still bounded: a caller that recycles traces
+  /// it allocated itself would otherwise grow the worker's footprint by
+  /// one instruction stream per seed across a 10k-run campaign. Overflow
+  /// buffers are simply freed.
   void recycle(trace::NodeTrace&& t) {
     if (spare_.size() >= kMaxBanked) return;
     t.clear_keep_capacity();

@@ -2,7 +2,7 @@
 
 #include <chrono>
 #include <memory>
-#include <sstream>
+#include <string>
 #include <utility>
 
 #include "apps/scenarios.hpp"
@@ -23,24 +23,13 @@ double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Chaos-ladder trace I/O leg (same as bench/ext_chaos): save, perturb
-/// with the run-seeded substream, salvage-load. A zero plan perturbs
-/// nothing and the round trip is the identity.
-trace::NodeTrace round_trip(const trace::NodeTrace& t,
-                            const fault::FaultPlan& faults, util::Rng rng) {
-  std::ostringstream saved;
-  trace::save_trace(t, saved);
-  std::string text =
-      fault::FaultInjector::perturb_trace_text(saved.str(), faults, rng);
-  std::istringstream in(text);
-  return trace::load_trace_lenient(in).trace;
-}
-
-/// Shared per-runner state: the arena (when pooled) plus where to stream
-/// phase totals. Lives in the runner closure via shared_ptr because
-/// ScenarioRunner is a copyable std::function.
+/// Shared per-runner state: the arena (when pooled), the worker's trace
+/// text buffer, plus where to stream phase totals. Lives in the runner
+/// closure via shared_ptr because ScenarioRunner is a copyable
+/// std::function.
 struct RunnerState {
   std::unique_ptr<apps::WorldArena> arena;  ///< null = fresh construction
+  std::string text;  ///< round-trip buffer, capacity kept across seeds
   PhaseShards* phases = nullptr;
   std::size_t worker = 0;
 
@@ -57,6 +46,22 @@ struct RunnerState {
 
   void recycle(trace::NodeTrace&& t) {
     if (arena) arena->recycle(std::move(t));
+  }
+
+  /// Chaos-ladder trace I/O leg (same as bench/ext_chaos): save, perturb
+  /// with the run-seeded substream, salvage-load. A zero plan perturbs
+  /// nothing and the round trip is the identity. The text lives in this
+  /// worker's buffer and, when pooled, the salvage loads into an arena
+  /// buffer, so a warm pooled worker allocates nothing here.
+  trace::NodeTrace round_trip(const trace::NodeTrace& t,
+                              const fault::FaultPlan& faults, util::Rng rng) {
+    text.clear();
+    trace::save_trace(t, text);
+    text = fault::FaultInjector::perturb_trace_text(std::move(text), faults,
+                                                    rng);
+    return trace::load_trace_lenient(
+               text, arena ? arena->take_buffer() : trace::NodeTrace{})
+        .trace;
   }
 };
 
@@ -90,8 +95,9 @@ ScenarioRunner make_case1_runner(const CaseRunnerConfig& config,
     const Clock::time_point t0 = Clock::now();
     AnalysisReport report;
     if (config.trace_round_trip) {
-      trace::NodeTrace t = round_trip(r.runs[0].sensor_trace, c.faults,
-                                      util::Rng(seed).substream("trace-faults"));
+      trace::NodeTrace t =
+          state->round_trip(r.runs[0].sensor_trace, c.faults,
+                            util::Rng(seed).substream("trace-faults"));
       report = analyze({{&t, 0}}, os::irq::kAdc);
       state->recycle(std::move(t));
     } else {
@@ -116,8 +122,9 @@ ScenarioRunner make_case2_runner(const CaseRunnerConfig& config,
     const Clock::time_point t0 = Clock::now();
     AnalysisReport report;
     if (config.trace_round_trip) {
-      trace::NodeTrace t = round_trip(r.relay_trace, c.faults,
-                                      util::Rng(seed).substream("trace-faults"));
+      trace::NodeTrace t =
+          state->round_trip(r.relay_trace, c.faults,
+                            util::Rng(seed).substream("trace-faults"));
       report = analyze({{&t, 0}}, os::irq::kRadioSpi);
       state->recycle(std::move(t));
     } else {
@@ -145,7 +152,7 @@ ScenarioRunner make_case3_runner(const CaseRunnerConfig& config,
       std::vector<trace::NodeTrace> salvaged;
       salvaged.reserve(r.sources.size());
       for (net::NodeId src : r.sources)
-        salvaged.push_back(round_trip(
+        salvaged.push_back(state->round_trip(
             r.traces[src], c.faults,
             util::Rng(seed).substream("trace-faults-" +
                                       std::to_string(src))));

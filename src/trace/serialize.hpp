@@ -6,10 +6,18 @@
 // a human can inspect; load_trace restores it exactly. The instruction
 // stream is delta-encoded on the cycle column, which keeps long traces
 // compact without sacrificing greppability.
+//
+// The codec works on one buffer: save_trace appends the whole trace to a
+// std::string, and the loaders parse a std::string_view line by line,
+// with no per-line or per-field allocation. Numbers are exactly the
+// unsigned decimal digits save_trace writes (no sign, no whitespace, no
+// overflow). The stream and file functions are thin wrappers over the
+// buffer ones; the stream loaders consume the whole stream.
 #pragma once
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "trace/recorder.hpp"
 #include "util/assert.hpp"
@@ -19,6 +27,9 @@ namespace sent::trace {
 /// Current format version, written in the header line.
 inline constexpr int kTraceFormatVersion = 1;
 
+/// Append the serialized trace to `out`. Callers that reuse one buffer
+/// across runs clear it first and keep its capacity.
+void save_trace(const NodeTrace& trace, std::string& out);
 void save_trace(const NodeTrace& trace, std::ostream& out);
 NodeTrace load_trace(std::istream& in);
 
@@ -49,7 +60,11 @@ struct LenientLoadResult {
 
 /// Salvage the valid prefix of a (possibly truncated or corrupted) trace.
 /// Never throws MalformedTraceFile; a trace that fails at the very first
-/// line yields an empty trace with complete=false.
+/// line yields an empty trace with complete=false. `recycled` donates its
+/// buffer capacity (e.g. apps::WorldArena::take_buffer()); it is scrubbed
+/// first, so the result is the same as loading into a fresh NodeTrace.
+LenientLoadResult load_trace_lenient(std::string_view text,
+                                     NodeTrace recycled = {});
 LenientLoadResult load_trace_lenient(std::istream& in);
 LenientLoadResult load_trace_file_lenient(const std::string& path);
 

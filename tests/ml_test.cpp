@@ -323,6 +323,11 @@ struct NamedFactory {
   DetectorFactory make;
 };
 
+// Without this, gtest prints the parameter as its raw bytes, which hold
+// heap and code addresses; ctest bakes that text into each discovered test
+// name, so the names would change from build to build.
+void PrintTo(const NamedFactory& f, std::ostream* os) { *os << f.name; }
+
 class DetectorSweep : public ::testing::TestWithParam<NamedFactory> {};
 
 TEST_P(DetectorSweep, PlantedOutliersInTopFive) {

@@ -159,8 +159,13 @@ TEST(WorldArena, RecycledBuffersAreScrubbed) {
 
 // The tentpole guarantee: the pooled factories produce bit-identical
 // CampaignStats to the historic fresh-construction path across all three
-// Fig-5 cases, clean and under fault injection, at --jobs 1 and 4.
+// Fig-5 cases, clean and under fault injection, at --jobs 1 and 4. The
+// chaos leg runs enough seeds that trace truncation and corruption both
+// fire, so the pooled salvage path (loads into recycled arena buffers) is
+// exercised on broken traces; the fault injector's obs counters prove it.
 TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
+  obs::Registry& registry = obs::Registry::global();
+  registry.set_enabled(true);
   for (const std::string name : {"I", "II", "III"}) {
     for (double intensity : {0.0, 0.5}) {
       CaseRunnerConfig pooled;
@@ -172,11 +177,19 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
 
       CampaignOptions options;
       options.first_seed = 1;
-      options.runs = 4;
+      options.runs = intensity > 0.0 ? 32 : 4;
       options.k = 5;
       options.threads = 1;
+      registry.reset();
       CampaignStats golden =
           run_campaign(make_case_runner_factory(name, fresh), options);
+      if (intensity > 0.0) {
+        const obs::Snapshot faults = registry.snapshot();
+        EXPECT_GT(faults.counter_value("fault.trace_truncations"), 0u)
+            << "case " << name;
+        EXPECT_GT(faults.counter_value("fault.trace_corruptions"), 0u)
+            << "case " << name;
+      }
 
       for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         options.threads = threads;
@@ -188,6 +201,7 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
       }
     }
   }
+  registry.set_enabled(false);
 }
 
 // The obs counters flush at the same run boundaries either way (reset for
@@ -206,8 +220,11 @@ TEST(WorkerPoolParity, ObsSnapshotsMatchPooledVsFresh) {
     run_campaign(make_case_runner_factory("II", config), options);
     return obs::Registry::global().snapshot();
   };
+  obs::Registry::global().set_enabled(true);
   obs::Snapshot pooled = snapshot_for(true);
   obs::Snapshot fresh = snapshot_for(false);
+  obs::Registry::global().set_enabled(false);
+  EXPECT_EQ(pooled.counter_value("campaign.runs"), 3u);  // really recorded
   EXPECT_TRUE(pooled.deterministic_equal(fresh));
   EXPECT_TRUE(fresh.deterministic_equal(pooled));
 }
