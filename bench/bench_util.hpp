@@ -1,6 +1,7 @@
 // Shared helpers for the experiment-reproduction binaries.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <initializer_list>
 #include <string>
@@ -15,6 +16,14 @@ namespace sent::bench {
 /// Print a section header.
 inline void section(const std::string& title) {
   std::printf("\n=== %s ===\n\n", title.c_str());
+}
+
+/// Wall seconds elapsed since `start` (steady clock): a driver timing a
+/// whole campaign or run from outside the program.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
 /// Declare the standard --jobs flag. `what` names the work that fans out

@@ -5,17 +5,23 @@
 // Grid mode (default): each case runs serially and fanned out over --jobs
 // pool workers — both to measure the multi-core speedup and to check,
 // every time, that parallel campaigns produce bit-identical CampaignStats.
-// Timing is warmup + median-of---reps with a per-phase breakdown (setup /
-// simulate / analyze wall seconds from the worker-sharded PhaseShards), so
-// the speedup claims in BENCH_campaign.json are stable and attributable.
+// Timing is warmup + median-of---reps, so the speedup claims in
+// BENCH_campaign.json are stable.
 //
 // Scale mode (--scale N): one N-run chaos campaign (the amortized campaign
 // engine's headline, DESIGN.md §15) through three legs — serial pooled,
 // --jobs pooled, and --jobs with fresh per-run construction — asserting
 // CampaignStats AND merged obs snapshots are bit-identical across all
-// three, and reporting speedup / efficiency against min(jobs,
-// hardware_threads). --min-efficiency gates it for CI; --stats-out writes
-// cmp(1)-able stats_json files for the serial and parallel legs.
+// three (and that the serial leg's snapshot really counted N runs), and
+// reporting speedup / efficiency against min(jobs, hardware_threads).
+// --min-efficiency gates it for CI; --stats-out writes cmp(1)-able
+// stats_json files for the serial and parallel legs.
+//
+// Both modes enable the obs registry and attribute every leg's time with
+// a phase table built from its obs timer deltas (DESIGN.md §11): ms/run
+// in setup (the run_caseN scope minus the event loop), simulate (the
+// event loop), trace round trip, analyze, and the residual of the
+// campaign.run scope, so the rows sum to it.
 //
 // Durable mode (DESIGN.md §13): with --journal PATH the driver instead
 // runs ONE campaign of the case picked by --case, journaling every
@@ -25,10 +31,13 @@
 // in this mode is the deterministic stats_json, so a killed-then-resumed
 // campaign's file cmp(1)s byte-identical against an uninterrupted run's.
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -37,36 +46,104 @@
 #include "pipeline/campaign.hpp"
 #include "pipeline/worker_pool.hpp"
 #include "util/cli.hpp"
+#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace sent;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+/// One leg's wall time per phase, summed over its timed campaigns from
+/// obs timer deltas. The runner's scopes nest inside `campaign.run`
+/// without overlapping, so every row is >= 0 and the rows sum to it; a
+/// negative row means overlapping or double-counted scopes.
+struct PhaseTable {
+  using Row = std::pair<const char*, std::int64_t>;  ///< name, wall ns
 
-double median(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  std::sort(v.begin(), v.end());
-  return v.size() % 2 ? v[v.size() / 2]
-                      : 0.5 * (v[v.size() / 2 - 1] + v[v.size() / 2]);
-}
+  std::uint64_t runs = 0;          ///< campaign.run scopes
+  std::int64_t run_ns = 0;         ///< campaign.run
+  std::int64_t run_case_ns = 0;    ///< the runner's apps.run_caseN scope
+  std::int64_t simulate_ns = 0;    ///< sim.run_until, nested in run_caseN
+  std::int64_t round_trip_ns = 0;  ///< trace.round_trip
+  std::int64_t analyze_ns = 0;     ///< pipeline.analyze
 
-void print_phases(const char* label, const pipeline::PhaseTotals& t) {
-  std::printf("  %-22s setup %.3fs, simulate %.3fs, analyze %.3fs "
-              "(%llu runs)\n",
-              label, t.setup_seconds, t.simulate_seconds, t.analyze_seconds,
-              static_cast<unsigned long long>(t.runs));
-}
+  /// Add one campaign's timer growth between two registry snapshots.
+  void add(const obs::Snapshot& before, const obs::Snapshot& after,
+           const std::string& case_name) {
+    auto timer = [](const obs::Snapshot& snap, const char* name) {
+      const obs::HistogramData* h = snap.timer_data(name);
+      return h ? *h : obs::HistogramData{};
+    };
+    auto delta_ns = [&](const char* name) {
+      return static_cast<std::int64_t>(timer(after, name).sum -
+                                       timer(before, name).sum);
+    };
+    runs += timer(after, "campaign.run").count -
+            timer(before, "campaign.run").count;
+    run_ns += delta_ns("campaign.run");
+    run_case_ns += delta_ns(case_name == "I"    ? "apps.run_case1"
+                            : case_name == "II" ? "apps.run_case2"
+                                                : "apps.run_case3");
+    simulate_ns += delta_ns("sim.run_until");
+    round_trip_ns += delta_ns("trace.round_trip");
+    analyze_ns += delta_ns("pipeline.analyze");
+  }
 
-void json_phases(std::ofstream& os, const pipeline::PhaseTotals& t) {
-  os << "{\"setup_seconds\": " << t.setup_seconds
-     << ", \"simulate_seconds\": " << t.simulate_seconds
-     << ", \"analyze_seconds\": " << t.analyze_seconds << "}";
+  /// The table's rows, residual last; they sum to run_ns.
+  std::array<Row, 5> rows() const {
+    return {{{"setup", run_case_ns - simulate_ns},
+             {"simulate", simulate_ns},
+             {"trace_round_trip", round_trip_ns},
+             {"analyze", analyze_ns},
+             {"residual",
+              run_ns - run_case_ns - round_trip_ns - analyze_ns}}};
+  }
+
+  double ms_per_run(std::int64_t ns) const {
+    return runs ? static_cast<double>(ns) * 1e-6 / static_cast<double>(runs)
+                : 0.0;
+  }
+
+  void print(const char* label) const {
+    std::printf("  %-10s", label);
+    const char* sep = "";
+    for (const auto& [name, ns] : rows()) {
+      std::printf("%s %s %.3f", sep, name, ms_per_run(ns));
+      sep = ",";
+    }
+    std::printf(" = run %.3f ms/run (%llu runs)\n", ms_per_run(run_ns),
+                static_cast<unsigned long long>(runs));
+  }
+
+  void write_json(std::ofstream& os) const {
+    os << "{\"runs\": " << runs
+       << ", \"run_ms_per_run\": " << ms_per_run(run_ns);
+    for (const auto& [name, ns] : rows())
+      os << ", \"" << name << "_ms_per_run\": " << ms_per_run(ns);
+    os << "}";
+  }
+};
+
+/// One timed configuration: wall seconds per campaign and its phase table.
+struct Leg {
+  std::vector<double> secs;
+  PhaseTable phases;
+
+  double seconds() const { return util::median(secs); }
+};
+
+/// One timed campaign of `leg`, adding its wall clock and obs timer
+/// deltas.
+pipeline::CampaignStats run_timed(
+    const pipeline::ScenarioRunnerFactory& factory,
+    const pipeline::CampaignOptions& options, const std::string& case_name,
+    Leg& leg) {
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  const auto t0 = std::chrono::steady_clock::now();
+  pipeline::CampaignStats stats = pipeline::run_campaign(factory, options);
+  leg.secs.push_back(bench::seconds_since(t0));
+  leg.phases.add(before, obs::Registry::global().snapshot(), case_name);
+  return stats;
 }
 
 /// Durable-mode entry: one journaled (optionally resumed) campaign.
@@ -115,14 +192,13 @@ struct CaseTiming {
   std::string name;
   std::size_t runs = 0;
   std::size_t reps = 0;
-  double serial_seconds = 0.0;    ///< median over reps
-  double parallel_seconds = 0.0;  ///< median over reps
-  pipeline::PhaseTotals serial_phases;    ///< summed over timed reps
-  pipeline::PhaseTotals parallel_phases;  ///< summed over timed reps
+  Leg serial;
+  Leg parallel;
   bool identical = false;
 
   double speedup() const {
-    return parallel_seconds > 0.0 ? serial_seconds / parallel_seconds : 0.0;
+    const double p = parallel.seconds();
+    return p > 0.0 ? serial.seconds() / p : 0.0;
   }
 };
 
@@ -138,49 +214,34 @@ CaseTiming run_both(const std::string& name, const char* printf_label,
   timing.runs = options.runs;
   timing.reps = reps;
 
-  pipeline::PhaseShards serial_shards(1);
-  pipeline::PhaseShards parallel_shards(std::max<std::size_t>(jobs, 1));
-  pipeline::ScenarioRunnerFactory serial_factory =
-      pipeline::make_case_runner_factory(case_name, {}, &serial_shards);
-  pipeline::ScenarioRunnerFactory parallel_factory =
-      pipeline::make_case_runner_factory(case_name, {}, &parallel_shards);
+  const pipeline::ScenarioRunnerFactory factory =
+      pipeline::make_case_runner_factory(case_name, {});
 
   if (warmup_runs > 0) {
     pipeline::CampaignOptions w = options;
     w.runs = std::min(options.runs, warmup_runs);
     w.threads = jobs;
-    pipeline::PhaseShards scratch(std::max<std::size_t>(jobs, 1));
-    (void)pipeline::run_campaign(
-        pipeline::make_case_runner_factory(case_name, {}, &scratch), w);
+    (void)pipeline::run_campaign(factory, w);
   }
 
   pipeline::CampaignStats first;
   bool identical = true;
-  std::vector<double> serial_secs, parallel_secs;
   for (std::size_t rep = 0; rep < reps; ++rep) {
     options.threads = 1;
-    auto t0 = std::chrono::steady_clock::now();
     pipeline::CampaignStats serial =
-        pipeline::run_campaign(serial_factory, options);
-    serial_secs.push_back(seconds_since(t0));
-
+        run_timed(factory, options, case_name, timing.serial);
     options.threads = jobs;
-    t0 = std::chrono::steady_clock::now();
     pipeline::CampaignStats parallel =
-        pipeline::run_campaign(parallel_factory, options);
-    parallel_secs.push_back(seconds_since(t0));
+        run_timed(factory, options, case_name, timing.parallel);
 
     if (rep == 0) first = serial;
     identical = identical && serial == first && parallel == first;
   }
 
-  timing.serial_seconds = median(serial_secs);
-  timing.parallel_seconds = median(parallel_secs);
-  timing.serial_phases = serial_shards.merged();
-  timing.parallel_phases = parallel_shards.merged();
   timing.identical = identical;
   std::printf("%s %s\n", printf_label, pipeline::summarize(first).c_str());
-  print_phases("serial phases:", timing.serial_phases);
+  timing.serial.phases.print("serial:");
+  timing.parallel.phases.print("parallel:");
   if (!timing.identical)
     std::printf("  !! parallel (--jobs %zu) stats DIVERGED from serial\n",
                 jobs);
@@ -201,18 +262,18 @@ bool write_json(const std::string& path, std::size_t jobs,
      << ",\n  \"cases\": [\n";
   for (std::size_t i = 0; i < timings.size(); ++i) {
     const CaseTiming& t = timings[i];
-    serial_total += t.serial_seconds;
-    parallel_total += t.parallel_seconds;
+    serial_total += t.serial.seconds();
+    parallel_total += t.parallel.seconds();
     os << "    {\"name\": \"" << t.name << "\", \"runs\": " << t.runs
        << ", \"reps\": " << t.reps
-       << ", \"serial_seconds\": " << t.serial_seconds
-       << ", \"parallel_seconds\": " << t.parallel_seconds
+       << ", \"serial_seconds\": " << t.serial.seconds()
+       << ", \"parallel_seconds\": " << t.parallel.seconds()
        << ", \"speedup\": " << t.speedup()
        << ", \"identical\": " << (t.identical ? "true" : "false")
        << ",\n     \"serial_phases\": ";
-    json_phases(os, t.serial_phases);
+    t.serial.phases.write_json(os);
     os << ",\n     \"parallel_phases\": ";
-    json_phases(os, t.parallel_phases);
+    t.parallel.phases.write_json(os);
     os << "}" << (i + 1 < timings.size() ? "," : "") << "\n";
   }
   double speedup =
@@ -233,30 +294,25 @@ bool write_json(const std::string& path, std::size_t jobs,
 struct ScaleLeg {
   pipeline::CaseRunnerConfig config;
   pipeline::CampaignOptions options;
-  pipeline::PhaseShards shards;
-  std::vector<double> secs;
+  Leg timed;
   pipeline::CampaignStats stats;
   obs::Snapshot snapshot;
   double seconds = 0.0;  ///< median over reps
 
   ScaleLeg(const pipeline::CaseRunnerConfig& config,
            const pipeline::CampaignOptions& options)
-      : config(config),
-        options(options),
-        shards(std::max<std::size_t>(options.threads, 1)) {}
+      : config(config), options(options) {}
 };
 
 /// One timed campaign of `leg`; stats from the last rep (all reps are
 /// bit-identical or the campaign itself is broken — checked by the caller
-/// against the serial leg). The obs registry is reset around each rep so
+/// against the serial leg). The obs registry is reset before each rep so
 /// the final snapshot covers exactly one campaign.
 void run_scale_rep(const std::string& case_name, ScaleLeg& leg) {
   obs::Registry::global().reset();
-  pipeline::ScenarioRunnerFactory factory =
-      pipeline::make_case_runner_factory(case_name, leg.config, &leg.shards);
-  auto t0 = std::chrono::steady_clock::now();
-  leg.stats = pipeline::run_campaign(factory, leg.options);
-  leg.secs.push_back(seconds_since(t0));
+  leg.stats = run_timed(
+      pipeline::make_case_runner_factory(case_name, leg.config), leg.options,
+      case_name, leg.timed);
   leg.snapshot = obs::Registry::global().snapshot();
 }
 
@@ -291,9 +347,8 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
     pipeline::CampaignOptions w = options;
     w.runs = std::min<std::size_t>(options.runs, 8);
     w.threads = jobs;
-    pipeline::PhaseShards scratch(std::max<std::size_t>(jobs, 1));
     (void)pipeline::run_campaign(
-        pipeline::make_case_runner_factory(case_name, pooled, &scratch), w);
+        pipeline::make_case_runner_factory(case_name, pooled), w);
   }
 
   pipeline::CampaignOptions serial_opts = options;
@@ -310,20 +365,25 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
     run_scale_rep(case_name, fresh_leg);
   }
   for (ScaleLeg* leg : {&serial, &parallel, &fresh_leg})
-    leg->seconds = median(leg->secs);
+    leg->seconds = leg->timed.seconds();
 
   std::printf("serial (pooled):    %.2fs  %s\n", serial.seconds,
               pipeline::summarize(serial.stats).c_str());
-  print_phases("phases:", serial.shards.merged());
+  serial.timed.phases.print("phases:");
   std::printf("--jobs %zu (pooled):  %.2fs\n", jobs, parallel.seconds);
-  print_phases("phases:", parallel.shards.merged());
+  parallel.timed.phases.print("phases:");
   std::printf("--jobs %zu (fresh):   %.2fs (per-run construction, "
               "pre-pool path)\n",
               jobs, fresh_leg.seconds);
+  fresh_leg.timed.phases.print("phases:");
 
   const bool stats_identical = serial.stats == parallel.stats &&
                                serial.stats == fresh_leg.stats;
+  // Equal snapshots only prove something if they recorded the campaign.
+  const std::uint64_t recorded_runs =
+      serial.snapshot.counter_value("campaign.runs");
   const bool obs_identical =
+      recorded_runs == options.runs &&
       serial.snapshot.deterministic_equal(parallel.snapshot) &&
       serial.snapshot.deterministic_equal(fresh_leg.snapshot);
   const double speedup = parallel.seconds > 0.0
@@ -337,8 +397,10 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
 
   std::printf("\nstats bit-identical (serial == parallel == fresh): %s\n",
               stats_identical ? "yes" : "NO");
-  std::printf("obs snapshots bit-identical:                       %s\n",
-              obs_identical ? "yes" : "NO");
+  std::printf("obs snapshots bit-identical:                       %s "
+              "(campaign.runs %llu of %zu)\n",
+              obs_identical ? "yes" : "NO",
+              static_cast<unsigned long long>(recorded_runs), options.runs);
   std::printf("speedup %.2fx over serial at --jobs %zu; efficiency %.2f "
               "of %zu effective core(s); pooled %.2fx vs fresh\n",
               speedup, jobs, efficiency, effective, pool_gain);
@@ -381,9 +443,11 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
      << (stats_identical ? "true" : "false")
      << ",\n  \"obs_identical\": " << (obs_identical ? "true" : "false")
      << ",\n  \"serial_phases\": ";
-  json_phases(os, serial.shards.merged());
+  serial.timed.phases.write_json(os);
   os << ",\n  \"parallel_phases\": ";
-  json_phases(os, parallel.shards.merged());
+  parallel.timed.phases.write_json(os);
+  os << ",\n  \"fresh_phases\": ";
+  fresh_leg.timed.phases.write_json(os);
   os << ",\n  \"triggered\": " << serial.stats.triggered
      << ",\n  \"failed\": " << serial.stats.failed
      << ",\n  \"timed_out\": " << serial.stats.timed_out << "\n}\n";
@@ -455,6 +519,8 @@ int main(int argc, char** argv) {
   std::size_t jobs = bench::parse_jobs(cli);
 
   if (!cli.get("journal").empty()) return run_durable(cli, options, jobs);
+  // The timed legs' phase tables read the registry's timers.
+  obs::Registry::global().set_enabled(true);
   if (cli.get_int("scale") > 0) return run_scale(cli, options, jobs);
 
   const auto reps =
@@ -485,8 +551,8 @@ int main(int argc, char** argv) {
   double serial_total = 0.0, parallel_total = 0.0;
   bool all_identical = true;
   for (const CaseTiming& t : timings) {
-    serial_total += t.serial_seconds;
-    parallel_total += t.parallel_seconds;
+    serial_total += t.serial.seconds();
+    parallel_total += t.parallel.seconds();
     all_identical = all_identical && t.identical;
   }
   std::printf(

@@ -173,12 +173,6 @@ ChaosOutcome run_chaos_fleet(
   return out;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -253,7 +247,7 @@ int main(int argc, char** argv) {
   }
   drive(clean, clean_feeds);
   pipeline::AnalysisReport streamed = clean.final_report(options);
-  const double clean_seconds = seconds_since(t0);
+  const double clean_seconds = bench::seconds_since(t0);
 
   std::vector<pipeline::TaggedTrace> tagged;
   for (std::size_t i = 0; i < streams; ++i)
@@ -270,7 +264,7 @@ int main(int argc, char** argv) {
   t0 = std::chrono::steady_clock::now();
   ChaosOutcome outcome =
       run_chaos_fleet(frames, base, chaos, first_seed, &pool);
-  const double chaos_seconds = seconds_since(t0);
+  const double chaos_seconds = bench::seconds_since(t0);
 
   // Same storm, serial detector math: everything logical must match.
   util::ThreadPool serial_pool(1);

@@ -31,12 +31,6 @@ using namespace sent;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 /// Everything one simulation run produces that the comparison needs.
 struct Outcome {
   std::vector<trace::NodeTrace> traces;
@@ -156,7 +150,7 @@ ModeResult run_mode(CaseRunner runner, sim::DispatchMode mode,
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
     Outcome out = runner(seed);
-    double wall = seconds_since(t0);
+    double wall = bench::seconds_since(t0);
     if (rep == 0 || wall < result.wall_seconds) result.wall_seconds = wall;
     if (rep == 0) {
       result.instrs = total_instrs(out.traces);

@@ -133,7 +133,8 @@ cmp build/metrics_j1.json build/metrics_j2.json
 # Scaling regression gate (DESIGN.md §15.5): a reduced chaos campaign
 # through the amortized engine, serial vs --jobs 2, pooled vs fresh.
 # ext_campaign --scale exits nonzero on any stats or obs-snapshot
-# divergence between the three legs, or when parallel efficiency
+# divergence between the three legs, when the serial leg's snapshot did
+# not count all 200 runs, or when parallel efficiency
 # (speedup / min(jobs, hardware cores)) drops below the floor — 0.55
 # tolerates single-core containers and scheduler noise while still
 # catching a reintroduced hot-path lock, which lands far below it.
@@ -143,6 +144,30 @@ cmp build/metrics_j1.json build/metrics_j2.json
 # The deterministic stats JSON must be byte-identical across schedules.
 cmp build/scale_stats.serial.json build/scale_stats.parallel.json
 rm -f build/scale_stats.serial.json build/scale_stats.parallel.json
+
+# Phase tables (DESIGN.md §11): every leg of the grid and scale smokes
+# splits its campaign.run time into setup / simulate / trace round trip /
+# analyze plus a residual, from the obs phase scopes. Each row must be
+# >= 0 (a negative row means overlapping or double-counted scopes) and
+# the rows must sum to the leg's campaign.run total.
+python3 - <<'EOF'
+import json
+ROWS = ("setup", "simulate", "trace_round_trip", "analyze", "residual")
+def check(where, phases):
+    assert phases["runs"] > 0, f"{where}: no campaign.run scope timed"
+    values = [phases[f"{row}_ms_per_run"] for row in ROWS]
+    assert min(values) >= 0, f"{where}: negative phase row in {phases}"
+    total = phases["run_ms_per_run"]
+    assert abs(sum(values) - total) <= 1e-3 * total + 1e-6, \
+        f"{where}: rows sum to {sum(values)}, campaign.run is {total}"
+grid = json.load(open("build/BENCH_campaign_smoke.json"))
+for case in grid["cases"]:
+    for leg in ("serial_phases", "parallel_phases"):
+        check(f"{case['name']} {leg}", case[leg])
+scale = json.load(open("build/BENCH_scale_smoke.json"))
+for leg in ("serial_phases", "parallel_phases", "fresh_phases"):
+    check(f"scale {leg}", scale[leg])
+EOF
 
 # Crash-resume smoke (DESIGN.md §13): run a journaled campaign that
 # SIGKILLs itself mid-flight (--kill-after), resume it, and require the
@@ -212,4 +237,4 @@ cmake --build .bench_build -j "${JOBS}"
 ctest --test-dir .bench_build --output-on-failure
 .bench_build/sentbench --workload chaos-II --seconds 2 --trace 1
 
-echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus + chaos + fleet soak + obs + scaling gate + corpus sweep parity + ML parity + vMIPS gate + perfbench tests and traced chaos-II smoke)"
+echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML parity + vMIPS gate + perfbench tests and traced chaos-II smoke)"

@@ -1,7 +1,6 @@
 #include "apps/scenarios.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <functional>
 #include <map>
 #include <optional>
@@ -14,12 +13,6 @@
 namespace sent::apps {
 
 namespace {
-
-using PhaseClock = std::chrono::steady_clock;
-
-double seconds_since(PhaseClock::time_point t0) {
-  return std::chrono::duration<double>(PhaseClock::now() - t0).count();
-}
 
 /// The run's event queue: the arena's pooled one (scrubbed by checkout)
 /// when amortizing, a fresh local otherwise. Either way the world starts
@@ -78,7 +71,6 @@ Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
     double d_ms = config.sample_periods_ms[r];
     util::Rng run_rng = master.substream("case1-run" + std::to_string(r));
 
-    const PhaseClock::time_point t0 = PhaseClock::now();
     std::optional<sim::EventQueue> local_queue;
     sim::EventQueue& queue = select_queue(arena, local_queue);
     if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
@@ -113,11 +105,8 @@ Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
     app.start();
     attach_node_faults(injector, sink_node, sink_chip);
     attach_node_faults(injector, sensor_node, sensor_chip);
-    const PhaseClock::time_point t1 = PhaseClock::now();
-    result.setup_seconds += std::chrono::duration<double>(t1 - t0).count();
 
     queue.run_until(sim::cycles_from_seconds(config.run_seconds));
-    result.simulate_seconds += seconds_since(t1);
     result.events_executed += queue.executed();
 
     Case1Run run;
@@ -143,7 +132,6 @@ Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
   util::Rng master(config.seed);
   util::Rng rng = master.substream("case2");
 
-  const PhaseClock::time_point t0 = PhaseClock::now();
   std::optional<sim::EventQueue> local_queue;
   sim::EventQueue& queue = select_queue(arena, local_queue);
   if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
@@ -193,12 +181,9 @@ Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
   attach_node_faults(injector, sink_node, sink_chip);
   attach_node_faults(injector, relay_node, relay_chip);
   attach_node_faults(injector, source_node, source_chip);
-  const PhaseClock::time_point t1 = PhaseClock::now();
   queue.run_until(sim::cycles_from_seconds(config.run_seconds));
 
   Case2Result result;
-  result.setup_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.simulate_seconds = seconds_since(t1);
   result.events_executed = queue.executed();
   result.relay_tx_airtime = relay_chip.tx_airtime();
   result.relay_trace = relay_node.take_trace();
@@ -231,7 +216,6 @@ Case3Result run_case3(const Case3Config& config, WorldArena* arena) {
   util::Rng master(config.seed);
   util::Rng rng = master.substream("case3");
 
-  const PhaseClock::time_point t0 = PhaseClock::now();
   std::optional<sim::EventQueue> local_queue;
   sim::EventQueue& queue = select_queue(arena, local_queue);
   if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
@@ -275,12 +259,9 @@ Case3Result run_case3(const Case3Config& config, WorldArena* arena) {
   for (std::size_t i = 0; i < n; ++i)
     attach_node_faults(injector, *nodes[i], *chips[i]);
 
-  const PhaseClock::time_point t1 = PhaseClock::now();
   queue.run_until(sim::cycles_from_seconds(config.run_seconds));
 
   Case3Result result;
-  result.setup_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.simulate_seconds = seconds_since(t1);
   result.events_executed = queue.executed();
   result.sources = sources;
   result.report_line = ctp_apps[0]->report_line();
@@ -321,7 +302,6 @@ Case4Result run_case4(const Case4Config& config, WorldArena* arena) {
   util::Rng master(config.seed);
   util::Rng rng = master.substream("case4");
 
-  const PhaseClock::time_point t0 = PhaseClock::now();
   std::optional<sim::EventQueue> local_queue;
   sim::EventQueue& queue = select_queue(arena, local_queue);
   if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
@@ -387,12 +367,9 @@ Case4Result run_case4(const Case4Config& config, WorldArena* arena) {
   };
   queue.schedule_at(sim::kCyclesPerSecond / 2, probe);
 
-  const PhaseClock::time_point t1 = PhaseClock::now();
   queue.run_until(sim::cycles_from_seconds(config.run_seconds));
 
   Case4Result result;
-  result.setup_seconds = std::chrono::duration<double>(t1 - t0).count();
-  result.simulate_seconds = seconds_since(t1);
   result.events_executed = queue.executed();
   result.corruption_node_seconds = corruption_node_seconds;
   result.trickle_line = diss_apps[0]->trickle_line();

@@ -72,11 +72,6 @@ struct Case1Run {
 struct Case1Result {
   std::vector<Case1Run> runs;
   std::uint64_t events_executed = 0;  ///< summed over all sample periods
-  /// Wall-clock phase split (world construction vs event-loop drain),
-  /// summed over sample periods. Diagnostic only — never part of any
-  /// determinism comparison.
-  double setup_seconds = 0.0;
-  double simulate_seconds = 0.0;
   std::uint64_t total_pollutions() const;
 };
 
@@ -138,8 +133,6 @@ struct Case2Result {
   std::uint64_t sink_received = 0;
   std::uint64_t events_executed = 0;
   sim::Cycle relay_tx_airtime = 0;  ///< for energy accounting
-  double setup_seconds = 0.0;     ///< wall clock; diagnostic only
-  double simulate_seconds = 0.0;  ///< wall clock; diagnostic only
 };
 
 Case2Result run_case2(const Case2Config& config, WorldArena* arena = nullptr);
@@ -178,8 +171,6 @@ struct Case3Result {
   std::vector<Case3NodeStats> stats;  ///< indexed by node id
   std::uint64_t delivered_to_root = 0;
   std::uint64_t events_executed = 0;
-  double setup_seconds = 0.0;     ///< wall clock; diagnostic only
-  double simulate_seconds = 0.0;  ///< wall clock; diagnostic only
   std::size_t hung_nodes() const;
 };
 
@@ -231,8 +222,6 @@ struct Case4Result {
   /// version sweeps through, so the exposure accumulates even though the
   /// end-of-run snapshot usually looks clean.
   double corruption_node_seconds = 0.0;
-  double setup_seconds = 0.0;     ///< wall clock; diagnostic only
-  double simulate_seconds = 0.0;  ///< wall clock; diagnostic only
   std::size_t corrupted_nodes() const;  ///< at end of run
   std::uint64_t total_torn() const;
 };

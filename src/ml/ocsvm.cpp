@@ -6,7 +6,7 @@
 #include <numeric>
 
 #include "ml/error.hpp"
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/thread_pool.hpp"
 
@@ -18,7 +18,7 @@ constexpr double kTau = 1e-12;  // denominator floor in the pair update
 
 // ML data-plane introspection (DESIGN.md §11). Everything here is a pure
 // function of the training data, so it stays in the deterministic metrics
-// sections; the one wall-clock quantity (the Gram build) is a timer.
+// sections; the one wall-clock quantity (the Gram build) is a phase scope.
 // Recording happens once per fit / per build — never inside kernel loops,
 // which keeps the disabled-registry overhead on micro_perf under noise.
 struct Metrics {
@@ -37,8 +37,7 @@ struct Metrics {
       obs::Registry::global().histogram("ml.smo_iterations_per_fit");
   obs::Histogram support_vectors =
       obs::Registry::global().histogram("ml.support_vectors_per_fit");
-  obs::Histogram kernel_build_ns =
-      obs::Registry::global().timer("ml.kernel_build_ns");
+  obs::Phase kernel_build{"ml.kernel_build"};
 
   static const Metrics& get() {
     static Metrics m;
@@ -124,7 +123,7 @@ void OneClassSvm::solve(const Matrix& x) {
   // and the retained per-element reference build.
   std::vector<double> q;
   {
-    obs::ScopedTimer build_timer(Metrics::get().kernel_build_ns);
+    obs::Span build_span(Metrics::get().kernel_build);
     if (params_.reference) {
       build_kernel_matrix_reference(params_.kernel, gamma_, x, pool(), q);
     } else {

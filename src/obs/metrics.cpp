@@ -179,6 +179,10 @@ const HistogramData* Snapshot::histogram_data(std::string_view name) const {
   return find_sorted(histograms, name);
 }
 
+const HistogramData* Snapshot::timer_data(std::string_view name) const {
+  return find_sorted(timers, name);
+}
+
 // ---------------------------------------------------------------------------
 
 Registry::Shard::~Shard() {
@@ -383,17 +387,6 @@ void Histogram::record(std::uint64_t v) const {
   atomic_min(cell.min, v);
   atomic_max(cell.max, v);
   cell.buckets[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-}
-
-ScopedTimer::ScopedTimer(Histogram timer) : timer_(timer) {
-  if (timer_.registry_ && timer_.registry_->enabled()) {
-    armed_ = true;
-    start_ns_ = Registry::now_ns();
-  }
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (armed_) timer_.record(Registry::now_ns() - start_ns_);
 }
 
 }  // namespace sent::obs

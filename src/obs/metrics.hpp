@@ -12,8 +12,9 @@
 // Determinism contract: counters, gauges, and histograms must only record
 // LOGICAL quantities (events dispatched, SMO iterations, queue depths) —
 // values that are a pure function of the workload. Wall-clock durations go
-// through timer()/ScopedTimer into the separate `timers` section, which
-// deterministic_equal() ignores and to_json() omits unless asked.
+// through an obs::Span phase scope (obs/trace.hpp) into the separate
+// `timers` section, which deterministic_equal() ignores and to_json() omits
+// unless asked.
 //
 // Overhead budget: a disabled registry costs one relaxed atomic load per
 // record call; an enabled one costs a thread-local lookup plus a handful of
@@ -79,8 +80,9 @@ struct Snapshot {
   /// on these instead of re-parsing to_json().
   std::uint64_t counter_value(std::string_view name) const;
   std::uint64_t gauge_value(std::string_view name) const;
-  /// Merged histogram by name, nullptr when absent.
+  /// Merged histogram / timer by name, nullptr when absent.
   const HistogramData* histogram_data(std::string_view name) const;
+  const HistogramData* timer_data(std::string_view name) const;
 };
 
 class Registry;
@@ -123,7 +125,7 @@ class Histogram {
 
  private:
   friend class Registry;
-  friend class ScopedTimer;
+  friend class Span;
   Histogram(Registry* registry, std::uint32_t slot)
       : registry_(registry), slot_(slot) {}
   Registry* registry_ = nullptr;
@@ -168,7 +170,8 @@ class Registry {
   /// benches/tests that measure one workload at a time.
   void reset();
 
-  /// Monotonic wall clock, nanoseconds (steady_clock).
+  /// Monotonic wall clock, nanoseconds (steady_clock). The only clock the
+  /// program reads; obs::Span and TraceLog are its callers.
   static std::uint64_t now_ns();
 
   // Capacity of one shard, per kind. Exceeding these is a programming
@@ -215,23 +218,6 @@ class Registry {
   mutable std::vector<std::string> hist_names_;
   mutable std::vector<bool> hist_is_timer_;
   mutable std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/// RAII wall-clock phase timer; records elapsed nanoseconds into a
-/// Registry::timer histogram on destruction. No clock call when the
-/// registry is disabled at construction.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram timer);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram timer_;
-  std::uint64_t start_ns_ = 0;
-  bool armed_ = false;
 };
 
 }  // namespace sent::obs

@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
-
-#include "obs/metrics.hpp"
+#include <string_view>
 
 namespace sent::obs {
 
@@ -32,10 +31,9 @@ void TraceLog::set_enabled(bool on) {
   enabled_.store(on, std::memory_order_relaxed);
 }
 
-std::uint64_t TraceLog::now_us() const {
+std::uint64_t TraceLog::us_since_epoch(std::uint64_t ns) const {
   std::uint64_t epoch = epoch_ns_.load(std::memory_order_relaxed);
-  std::uint64_t now = Registry::now_ns();
-  return now > epoch ? (now - epoch) / 1000 : 0;
+  return ns > epoch ? (ns - epoch) / 1000 : 0;
 }
 
 void TraceLog::append(const TraceEvent& event) {
@@ -69,7 +67,9 @@ std::string TraceLog::to_chrome_json() const {
   os << "{\"traceEvents\": [\n";
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& e = events[i];
-    os << "  {\"name\": \"" << e.name << "\", \"cat\": \"" << e.category
+    const std::string_view name = e.name;
+    os << "  {\"name\": \"" << name << "\", \"cat\": \""
+       << name.substr(0, name.find('.'))
        << "\", \"ph\": \"X\", \"pid\": 1, \"tid\": " << e.tid
        << ", \"ts\": " << e.ts_us << ", \"dur\": " << e.dur_us;
     if (e.has_arg) os << ", \"args\": {\"v\": " << e.arg << "}";
@@ -89,31 +89,29 @@ bool TraceLog::write_chrome_json(const std::string& path) const {
   return true;
 }
 
-Span::Span(const char* name, const char* category)
-    : name_(name), category_(category) {
-  TraceLog& log = TraceLog::global();
-  if (log.enabled()) {
-    armed_ = true;
-    start_us_ = log.now_us();
-  }
+Span::Span(const Phase& phase)
+    : phase_(phase),
+      timed_(phase.timer.registry_ && phase.timer.registry_->enabled()),
+      traced_(TraceLog::global().enabled()) {
+  if (timed_ || traced_) start_ns_ = Registry::now_ns();
 }
 
-Span::Span(const char* name, const char* category, std::uint64_t arg)
-    : Span(name, category) {
+Span::Span(const Phase& phase, std::uint64_t arg) : Span(phase) {
   arg_ = arg;
   has_arg_ = true;
 }
 
 Span::~Span() {
-  if (!armed_) return;
+  if (!timed_ && !traced_) return;
+  const std::uint64_t end_ns = Registry::now_ns();
+  if (timed_) phase_.timer.record(end_ns - start_ns_);
+  if (!traced_) return;
   TraceLog& log = TraceLog::global();
   TraceEvent event;
-  event.name = name_;
-  event.category = category_;
+  event.name = phase_.name;
   event.tid = thread_tid();
-  event.ts_us = start_us_;
-  std::uint64_t end = log.now_us();
-  event.dur_us = end > start_us_ ? end - start_us_ : 0;
+  event.ts_us = log.us_since_epoch(start_ns_);
+  event.dur_us = (end_ns - start_ns_) / 1000;
   event.arg = arg_;
   event.has_arg = has_arg_;
   log.append(event);

@@ -1,15 +1,17 @@
-// Phase-timeline tracing (DESIGN.md §11).
+// Phase scopes and the phase timeline (DESIGN.md §11).
 //
-// Span is an RAII marker around a phase of work (one seeded run, one
-// anatomize pass, one SMO solve). Completed spans collect into the global
-// TraceLog, which exports the Chrome `trace_event` JSON format — load the
-// file in chrome://tracing or Perfetto to see where a campaign's wall
-// clock went, per worker thread.
+// Span is the program's one RAII phase scope (one seeded run, one event
+// loop, one anatomize pass, one Gram build). It measures its lifetime once
+// and records it under its Phase's name twice over: as a registry timer
+// when the Registry is enabled, and as a trace span in the global TraceLog
+// when the log is enabled. With both off it reads no clock at all.
 //
-// Tracing is wall-clock data and therefore outside the determinism
-// contract; it is off by default and costs one relaxed atomic load per
-// span when disabled. Span names/categories must be string literals (the
-// log stores the pointers, not copies).
+// Completed spans export in the Chrome `trace_event` JSON format — load
+// the file in chrome://tracing or Perfetto to see where a campaign's wall
+// clock went, per worker thread. Timers and spans are wall-clock data and
+// therefore outside the determinism contract; both are off by default.
+// Phase names must be string literals (the log stores the pointers, not
+// copies); the part before the first '.' is the span's category.
 #pragma once
 
 #include <atomic>
@@ -18,12 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace sent::obs {
 
 /// One completed span ("X" complete event in trace_event terms).
 struct TraceEvent {
   const char* name = "";
-  const char* category = "";
   std::uint32_t tid = 0;       ///< small sequential id per recording thread
   std::uint64_t ts_us = 0;     ///< start, microseconds since log epoch
   std::uint64_t dur_us = 0;
@@ -51,8 +54,9 @@ class TraceLog {
   /// when the file cannot be opened.
   bool write_chrome_json(const std::string& path) const;
 
-  /// Microseconds since the log's epoch (set when first enabled).
-  std::uint64_t now_us() const;
+  /// Microseconds from the log's epoch (set when first enabled) to a
+  /// Registry::now_ns() reading.
+  std::uint64_t us_since_epoch(std::uint64_t ns) const;
 
  private:
   std::atomic<bool> enabled_{false};
@@ -61,24 +65,35 @@ class TraceLog {
   std::vector<TraceEvent> events_;
 };
 
-/// RAII span recording into TraceLog::global(). Nesting works naturally:
-/// inner spans simply record shorter [ts, ts+dur] windows on the same tid.
+/// A named phase: its registry timer plus the name its trace spans carry.
+/// Modules build their phases once, in their function-local Metrics block
+/// (registration takes the registry lock, so never per scope).
+struct Phase {
+  explicit Phase(const char* name, Registry& registry = Registry::global())
+      : name(name), timer(registry.timer(name)) {}
+
+  const char* name;
+  Histogram timer;
+};
+
+/// RAII phase scope over a Phase (see the file comment). Nesting works
+/// naturally: inner scopes record shorter windows on the same thread.
 class Span {
  public:
-  explicit Span(const char* name, const char* category = "run");
-  Span(const char* name, const char* category, std::uint64_t arg);
+  explicit Span(const Phase& phase);
+  Span(const Phase& phase, std::uint64_t arg);
   ~Span();
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
-  const char* name_;
-  const char* category_;
-  std::uint64_t start_us_ = 0;
+  const Phase& phase_;
+  std::uint64_t start_ns_ = 0;
   std::uint64_t arg_ = 0;
   bool has_arg_ = false;
-  bool armed_ = false;
+  bool timed_ = false;   ///< registry was enabled at construction
+  bool traced_ = false;  ///< trace log was enabled at construction
 };
 
 }  // namespace sent::obs

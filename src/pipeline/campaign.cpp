@@ -15,7 +15,6 @@
 #include "pipeline/journal.hpp"
 #include "sim/event_queue.hpp"
 #include "util/assert.hpp"
-#include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sent::pipeline {
@@ -24,11 +23,12 @@ namespace {
 
 // Campaign-level introspection (DESIGN.md §11). Outcome counters are a pure
 // function of (runner, options) and stay deterministic; per-run wall time
-// goes to the `campaign.run_seconds` timer, which the snapshot keeps out of
-// the deterministic sections. The journal.* counters describe durability
-// work: resumed/recovered depend on where a previous campaign died, so they
-// are honest about THIS invocation, not part of any cross-run determinism
-// claim (snapshot comparisons in tier-1 never mix resumed and fresh runs).
+// (retries included) goes to the `campaign.run` phase scope, whose timer
+// the snapshot keeps out of the deterministic sections. The journal.*
+// counters describe durability work: resumed/recovered depend on where a
+// previous campaign died, so they are honest about THIS invocation, not
+// part of any cross-run determinism claim (snapshot comparisons in tier-1
+// never mix resumed and fresh runs).
 struct Metrics {
   obs::Counter runs = obs::Registry::global().counter("campaign.runs");
   obs::Counter triggered =
@@ -53,7 +53,7 @@ struct Metrics {
       obs::Registry::global().counter("campaign.journal.resumed_runs");
   obs::Counter journal_truncated =
       obs::Registry::global().counter("campaign.journal.truncated_tails");
-  obs::Histogram run_ns = obs::Registry::global().timer("campaign.run_ns");
+  obs::Phase run{"campaign.run"};
 
   static const Metrics& get() {
     static Metrics m;
@@ -78,10 +78,6 @@ double CampaignStats::mean_first_rank() const {
   if (first_ranks.empty()) return 0.0;
   double sum = std::accumulate(first_ranks.begin(), first_ranks.end(), 0.0);
   return sum / static_cast<double>(first_ranks.size());
-}
-
-double CampaignStats::wall_seconds_percentile(double p) const {
-  return util::percentile(run_wall_seconds, p);
 }
 
 bool CampaignStats::operator==(const CampaignStats& other) const {
@@ -302,7 +298,6 @@ CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
   // short-circuit: their outcome is reconstructed, not re-run, which is
   // what makes a resumed 10k campaign pick up where the crash left it.
   std::vector<RunOutcome> outcomes(options.runs);
-  std::vector<double> wall_seconds(options.runs, 0.0);
   util::ThreadPool pool(options.threads);
 
   // Per-worker amortized state (DESIGN.md §15). The runner is built
@@ -336,13 +331,10 @@ CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
           ws.runner = factory(worker);
           SENT_REQUIRE(ws.runner != nullptr);
         }
-        obs::Span run_span("campaign.run", "campaign", seed);
-        const std::uint64_t t0 = obs::Registry::now_ns();
-        RunOutcome out = run_with_retries(ws.runner, seed, options, inj);
-        const std::uint64_t elapsed_ns = obs::Registry::now_ns() - t0;
-        Metrics::get().run_ns.record(elapsed_ns);
-        wall_seconds[i] = static_cast<double>(elapsed_ns) * 1e-9;
-        outcomes[i] = std::move(out);
+        {
+          obs::Span run_span(Metrics::get().run, seed);
+          outcomes[i] = run_with_retries(ws.runner, seed, options, inj);
+        }
         if (journal) {
           ws.pending.push_back(to_record(seed, outcomes[i]));
           if (ws.pending.size() >= flush_every) flush_pending(ws);
@@ -359,7 +351,6 @@ CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
   CampaignStats stats;
   stats.runs = options.runs;
   stats.k = options.k;
-  stats.run_wall_seconds = std::move(wall_seconds);
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const RunOutcome& outcome = outcomes[i];
     const std::uint64_t seed = options.first_seed + i;

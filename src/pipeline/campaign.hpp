@@ -82,16 +82,11 @@ struct CampaignStats {
 
   // Durability (DESIGN.md §13): how many of this campaign's runs were
   // reconstructed from the journal instead of executed. Depends on where
-  // the previous campaign crashed, so — like wall time — it is EXCLUDED
-  // from operator==: a resumed campaign must compare equal to an
-  // uninterrupted one.
+  // the previous campaign crashed, so it is EXCLUDED from operator==: a
+  // resumed campaign must compare equal to an uninterrupted one. (Per-run
+  // wall time is not kept here at all; it is the `campaign.run` obs
+  // timer, DESIGN.md §11.)
   std::size_t resumed_from_journal = 0;
-
-  // Observability (DESIGN.md §11): wall-clock seconds per run, seed order
-  // (retries included in their run's total). Wall time is measured, not
-  // derived from the seed, so it is EXCLUDED from operator== — campaign
-  // determinism claims ("serial == --jobs N") are about logical outcomes.
-  std::vector<double> run_wall_seconds;
 
   std::size_t completed() const { return runs - failed - timed_out; }
   double trigger_rate() const;
@@ -101,10 +96,7 @@ struct CampaignStats {
   double detection_rate() const;
   double mean_first_rank() const;  ///< 0 when none triggered
 
-  /// Percentile of run_wall_seconds (p in [0, 100]); 0 when empty.
-  double wall_seconds_percentile(double p) const;
-
-  /// Logical-outcome equality; run_wall_seconds deliberately ignored.
+  /// Logical-outcome equality; resumed_from_journal deliberately ignored.
   bool operator==(const CampaignStats& other) const;
 };
 
@@ -180,10 +172,9 @@ CampaignStats run_campaign(const ScenarioRunner& runner,
 std::string summarize(const CampaignStats& stats);
 
 /// Render the deterministic sections of CampaignStats as JSON (stable key
-/// order, messages escaped). Excludes run_wall_seconds and
-/// resumed_from_journal by construction, so a resumed campaign's JSON is
-/// byte-identical to an uninterrupted run's — the crash-resume smoke
-/// cmp(1)s exactly this.
+/// order, messages escaped). Excludes resumed_from_journal by
+/// construction, so a resumed campaign's JSON is byte-identical to an
+/// uninterrupted run's — the crash-resume smoke cmp(1)s exactly this.
 std::string stats_json(const CampaignStats& stats);
 
 }  // namespace sent::pipeline

@@ -6,7 +6,6 @@
 #include "ml/detectors.hpp"
 #include "ml/error.hpp"
 #include "ml/ocsvm.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/table.hpp"
@@ -16,7 +15,8 @@ namespace sent::pipeline {
 namespace {
 
 // Back-end introspection (DESIGN.md §11): how many analyses ran, how much
-// interval material they saw, and how often the detector had to degrade.
+// interval material they saw, how often the detector had to degrade, and
+// the phase scopes of the back end's stages.
 struct Metrics {
   obs::Counter analyses = obs::Registry::global().counter("pipeline.analyses");
   obs::Counter traces = obs::Registry::global().counter("pipeline.traces");
@@ -28,6 +28,10 @@ struct Metrics {
       obs::Registry::global().counter("pipeline.knn_fallbacks");
   obs::Histogram samples_per_analysis =
       obs::Registry::global().histogram("pipeline.samples_per_analysis");
+  obs::Phase analyze{"pipeline.analyze"};
+  obs::Phase anatomize{"pipeline.anatomize"};
+  obs::Phase featurize{"pipeline.featurize"};
+  obs::Phase score{"pipeline.score"};
 
   static const Metrics& get() {
     static Metrics m;
@@ -107,7 +111,7 @@ bool marker_in_window(const trace::BugMarker& bug,
 AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
                        trace::IrqLine line, const AnalysisOptions& options) {
   SENT_REQUIRE_MSG(!traces.empty(), "no traces to analyze");
-  obs::Span analyze_span("pipeline.analyze", "pipeline", line);
+  obs::Span analyze_span(Metrics::get().analyze, line);
   Metrics::get().analyses.inc();
 
   AnalysisReport report;
@@ -119,7 +123,7 @@ AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
     const trace::NodeTrace& node_trace = *tagged.trace;
     std::vector<core::EventInterval> intervals;
     {
-      obs::Span anatomize_span("pipeline.anatomize", "pipeline");
+      obs::Span anatomize_span(Metrics::get().anatomize);
       core::Anatomizer anatomizer(node_trace);
       intervals = anatomizer.intervals_for(line);
     }
@@ -138,7 +142,7 @@ AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
 
     core::FeatureMatrix part;
     {
-      obs::Span featurize_span("pipeline.featurize", "pipeline");
+      obs::Span featurize_span(Metrics::get().featurize);
       part = featurize(node_trace, intervals, options.features);
     }
     core::append_rows(matrix, part);
@@ -179,7 +183,7 @@ void score_and_rank(AnalysisReport& report, core::FeatureMatrix matrix,
   report.feature_dim = matrix.dim();
 
   try {
-    obs::Span score_span("pipeline.score", "pipeline");
+    obs::Span score_span(Metrics::get().score);
     report.scores = detector->score(matrix.values);
   } catch (const ml::TrainingError& e) {
     // Degrade instead of dying: the k-NN distance detector has no training

@@ -1,13 +1,14 @@
 #include "pipeline/worker_pool.hpp"
 
-#include <chrono>
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "apps/scenarios.hpp"
 #include "apps/world_arena.hpp"
 #include "fault/injector.hpp"
+#include "obs/trace.hpp"
 #include "os/irq.hpp"
 #include "trace/serialize.hpp"
 #include "util/assert.hpp"
@@ -17,32 +18,99 @@ namespace sent::pipeline {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
+/// The runner's phase scopes (DESIGN.md §11), registered once.
+struct Metrics {
+  obs::Phase run_case1{"apps.run_case1"};
+  obs::Phase run_case2{"apps.run_case2"};
+  obs::Phase run_case3{"apps.run_case3"};
+  obs::Phase round_trip{"trace.round_trip"};
 
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
+  static const Metrics& get() {
+    static Metrics m;
+    return m;
+  }
+};
+
+/// One seed's simulated world, reduced to what the shared runner needs.
+struct Simulated {
+  /// Every trace buffer the run hands back, in the order it is recycled.
+  std::vector<trace::NodeTrace> traces;
+  std::vector<std::size_t> analyzed;  ///< indexes into traces, analyze order
+  trace::IrqLine line = 0;
+};
+
+/// What differs between the case studies' runners.
+struct CaseStudy {
+  Simulated (*simulate)(std::uint64_t seed, const fault::FaultPlan& faults,
+                        std::uint64_t event_budget, apps::WorldArena* arena);
+  const obs::Phase* phase;  ///< the run_caseN scope
+  /// Round-trip substream key: "trace-faults-<node id>" per analyzed trace
+  /// when true (one trace per node), plain "trace-faults" otherwise.
+  bool keyed_by_node;
+};
+
+Simulated simulate_case1(std::uint64_t seed, const fault::FaultPlan& faults,
+                         std::uint64_t event_budget,
+                         apps::WorldArena* arena) {
+  apps::Case1Config c;
+  c.seed = seed;
+  c.sample_periods_ms = {20};  // the vulnerable rate
+  c.run_seconds = 10.0;
+  c.faults = faults;
+  c.event_budget = event_budget;
+  apps::Case1Result r = apps::run_case1(c, arena);
+  Simulated sim;
+  for (apps::Case1Run& run : r.runs)
+    sim.traces.push_back(std::move(run.sensor_trace));
+  sim.analyzed = {0};
+  sim.line = os::irq::kAdc;
+  return sim;
 }
 
-/// Shared per-runner state: the arena (when pooled), the worker's trace
-/// text buffer, plus where to stream phase totals. Lives in the runner
-/// closure via shared_ptr because ScenarioRunner is a copyable
-/// std::function.
+Simulated simulate_case2(std::uint64_t seed, const fault::FaultPlan& faults,
+                         std::uint64_t event_budget,
+                         apps::WorldArena* arena) {
+  apps::Case2Config c;
+  c.seed = seed;
+  c.faults = faults;
+  c.event_budget = event_budget;
+  apps::Case2Result r = apps::run_case2(c, arena);
+  Simulated sim;
+  sim.traces.push_back(std::move(r.relay_trace));
+  sim.analyzed = {0};
+  sim.line = os::irq::kRadioSpi;
+  return sim;
+}
+
+Simulated simulate_case3(std::uint64_t seed, const fault::FaultPlan& faults,
+                         std::uint64_t event_budget,
+                         apps::WorldArena* arena) {
+  apps::Case3Config c;
+  c.seed = seed;
+  c.faults = faults;
+  c.event_budget = event_budget;
+  apps::Case3Result r = apps::run_case3(c, arena);
+  Simulated sim;
+  sim.traces = std::move(r.traces);  // indexed by node id
+  sim.analyzed.assign(r.sources.begin(), r.sources.end());
+  sim.line = r.report_line;
+  return sim;
+}
+
+CaseStudy case_study(const std::string& name) {
+  const Metrics& m = Metrics::get();
+  if (name == "I") return {simulate_case1, &m.run_case1, false};
+  if (name == "II") return {simulate_case2, &m.run_case2, false};
+  SENT_REQUIRE_MSG(name == "III", "unknown case study: " << name);
+  return {simulate_case3, &m.run_case3, true};
+}
+
+/// Per-runner mutable state: the arena (when pooled) and the worker's
+/// trace text buffer. Lives in the runner closure via shared_ptr because
+/// ScenarioRunner is a copyable std::function.
 struct RunnerState {
   std::unique_ptr<apps::WorldArena> arena;  ///< null = fresh construction
   std::string text;  ///< round-trip buffer, capacity kept across seeds
-  PhaseShards* phases = nullptr;
-  std::size_t worker = 0;
-
-  apps::WorldArena* arena_ptr() { return arena.get(); }
-
-  void account(double setup, double simulate, double analyze) {
-    if (!phases) return;
-    PhaseTotals& t = phases->shard(worker);
-    t.setup_seconds += setup;
-    t.simulate_seconds += simulate;
-    t.analyze_seconds += analyze;
-    ++t.runs;
-  }
 
   void recycle(trace::NodeTrace&& t) {
     if (arena) arena->recycle(std::move(t));
@@ -65,124 +133,49 @@ struct RunnerState {
   }
 };
 
-std::shared_ptr<RunnerState> make_state(const CaseRunnerConfig& config,
-                                        PhaseShards* phases,
-                                        std::size_t worker) {
+ScenarioRunner make_runner(const CaseStudy& study,
+                           const CaseRunnerConfig& config) {
   auto state = std::make_shared<RunnerState>();
   if (config.pooled) state->arena = std::make_unique<apps::WorldArena>();
-  state->phases = phases;
-  state->worker = worker;
-  return state;
-}
-
-fault::FaultPlan plan_for(const CaseRunnerConfig& config) {
-  return config.intensity > 0.0
-             ? fault::FaultPlan::at_intensity(config.intensity)
-             : fault::FaultPlan{};
-}
-
-ScenarioRunner make_case1_runner(const CaseRunnerConfig& config,
-                                 PhaseShards* phases, std::size_t worker) {
-  auto state = make_state(config, phases, worker);
-  return [config, state](std::uint64_t seed) {
-    apps::Case1Config c;
-    c.seed = seed;
-    c.sample_periods_ms = {20};  // the vulnerable rate
-    c.run_seconds = 10.0;
-    c.faults = plan_for(config);
-    c.event_budget = config.event_budget;
-    apps::Case1Result r = apps::run_case1(c, state->arena_ptr());
-    const Clock::time_point t0 = Clock::now();
-    AnalysisReport report;
-    if (config.trace_round_trip) {
-      trace::NodeTrace t =
-          state->round_trip(r.runs[0].sensor_trace, c.faults,
-                            util::Rng(seed).substream("trace-faults"));
-      report = analyze({{&t, 0}}, os::irq::kAdc);
-      state->recycle(std::move(t));
-    } else {
-      report = analyze({{&r.runs[0].sensor_trace, 0}}, os::irq::kAdc);
+  const fault::FaultPlan faults =
+      config.intensity > 0.0 ? fault::FaultPlan::at_intensity(config.intensity)
+                             : fault::FaultPlan{};
+  return [study, config, faults, state](std::uint64_t seed) {
+    Simulated sim;
+    {
+      obs::Span span(*study.phase);
+      sim = study.simulate(seed, faults, config.event_budget,
+                           state->arena.get());
     }
-    for (apps::Case1Run& run : r.runs)
-      state->recycle(std::move(run.sensor_trace));
-    state->account(r.setup_seconds, r.simulate_seconds, seconds_since(t0));
-    return report;
-  };
-}
-
-ScenarioRunner make_case2_runner(const CaseRunnerConfig& config,
-                                 PhaseShards* phases, std::size_t worker) {
-  auto state = make_state(config, phases, worker);
-  return [config, state](std::uint64_t seed) {
-    apps::Case2Config c;
-    c.seed = seed;
-    c.faults = plan_for(config);
-    c.event_budget = config.event_budget;
-    apps::Case2Result r = apps::run_case2(c, state->arena_ptr());
-    const Clock::time_point t0 = Clock::now();
-    AnalysisReport report;
+    std::vector<trace::NodeTrace> salvaged;
+    std::vector<TaggedTrace> traces;
     if (config.trace_round_trip) {
-      trace::NodeTrace t =
-          state->round_trip(r.relay_trace, c.faults,
-                            util::Rng(seed).substream("trace-faults"));
-      report = analyze({{&t, 0}}, os::irq::kRadioSpi);
-      state->recycle(std::move(t));
-    } else {
-      report = analyze({{&r.relay_trace, 0}}, os::irq::kRadioSpi);
-    }
-    state->recycle(std::move(r.relay_trace));
-    state->account(r.setup_seconds, r.simulate_seconds, seconds_since(t0));
-    return report;
-  };
-}
-
-ScenarioRunner make_case3_runner(const CaseRunnerConfig& config,
-                                 PhaseShards* phases, std::size_t worker) {
-  auto state = make_state(config, phases, worker);
-  return [config, state](std::uint64_t seed) {
-    apps::Case3Config c;
-    c.seed = seed;
-    c.faults = plan_for(config);
-    c.event_budget = config.event_budget;
-    apps::Case3Result r = apps::run_case3(c, state->arena_ptr());
-    const Clock::time_point t0 = Clock::now();
-    AnalysisReport report;
-    if (config.trace_round_trip) {
-      // Per-node perturbation substreams, same keying as bench/ext_chaos.
-      std::vector<trace::NodeTrace> salvaged;
-      salvaged.reserve(r.sources.size());
-      for (net::NodeId src : r.sources)
+      obs::Span span(Metrics::get().round_trip);
+      salvaged.reserve(sim.analyzed.size());
+      for (std::size_t i : sim.analyzed) {
+        const std::string key = study.keyed_by_node
+                                    ? "trace-faults-" + std::to_string(i)
+                                    : std::string("trace-faults");
         salvaged.push_back(state->round_trip(
-            r.traces[src], c.faults,
-            util::Rng(seed).substream("trace-faults-" +
-                                      std::to_string(src))));
-      std::vector<TaggedTrace> traces;
+            sim.traces[i], faults, util::Rng(seed).substream(key)));
+      }
       for (trace::NodeTrace& t : salvaged) traces.push_back({&t, 0});
-      report = analyze(traces, r.report_line);
-      for (trace::NodeTrace& t : salvaged) state->recycle(std::move(t));
     } else {
-      std::vector<TaggedTrace> traces;
-      for (net::NodeId src : r.sources) traces.push_back({&r.traces[src], 0});
-      report = analyze(traces, r.report_line);
+      for (std::size_t i : sim.analyzed) traces.push_back({&sim.traces[i], 0});
     }
-    if (state->arena) state->arena->recycle_all(r.traces);
-    state->account(r.setup_seconds, r.simulate_seconds, seconds_since(t0));
+    AnalysisReport report = analyze(traces, sim.line);
+    for (trace::NodeTrace& t : salvaged) state->recycle(std::move(t));
+    for (trace::NodeTrace& t : sim.traces) state->recycle(std::move(t));
     return report;
   };
 }
 
 }  // namespace
 
-ScenarioRunnerFactory make_case_runner_factory(const std::string& name,
-                                               const CaseRunnerConfig& config,
-                                               PhaseShards* phases) {
-  SENT_REQUIRE_MSG(name == "I" || name == "II" || name == "III",
-                   "unknown case study: " << name);
-  return [name, config, phases](std::size_t worker) {
-    if (name == "I") return make_case1_runner(config, phases, worker);
-    if (name == "III") return make_case3_runner(config, phases, worker);
-    return make_case2_runner(config, phases, worker);
-  };
+ScenarioRunnerFactory make_case_runner_factory(
+    const std::string& name, const CaseRunnerConfig& config) {
+  const CaseStudy study = case_study(name);
+  return [study, config](std::size_t) { return make_runner(study, config); };
 }
 
 }  // namespace sent::pipeline

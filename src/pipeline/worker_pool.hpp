@@ -11,60 +11,19 @@
 // NodeTrace::clear_keep_capacity() restore to blank, and everything else
 // is rebuilt per seed. tests/worker_pool_test.cpp holds the parity.
 //
-// Phase accounting rides along on the obs shard-merge pattern: each worker
-// accumulates setup / simulate / analyze wall-clock into its own padded
-// shard (no shared mutex, no atomics on the hot path) and the bench merges
-// once at the end to attribute where campaign time actually goes.
+// One runner serves all three cases; only the simulation step differs.
+// Its phases are obs phase scopes (DESIGN.md §11): the run_caseN call
+// (`apps.run_case1..3`, the event loop's `sim.run_until` nested inside),
+// the chaos ladder's trace round trip (`trace.round_trip`), and the back
+// end's own `pipeline.analyze`.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "pipeline/campaign.hpp"
 
 namespace sent::pipeline {
-
-/// Wall-clock seconds per pipeline phase. Diagnostic only — measured, not
-/// derived from the seed, so never part of a determinism comparison.
-struct PhaseTotals {
-  double setup_seconds = 0.0;     ///< world construction (pre event loop)
-  double simulate_seconds = 0.0;  ///< event-loop drain
-  double analyze_seconds = 0.0;   ///< trace round-trip + Sentomist back end
-  std::uint64_t runs = 0;         ///< completed runner invocations counted
-
-  PhaseTotals& operator+=(const PhaseTotals& other) {
-    setup_seconds += other.setup_seconds;
-    simulate_seconds += other.simulate_seconds;
-    analyze_seconds += other.analyze_seconds;
-    runs += other.runs;
-    return *this;
-  }
-};
-
-/// Per-worker phase shards, merged once at the end (the src/obs pattern).
-/// Each worker writes only its own cache-line-padded shard from its own
-/// thread; merged() is only valid after the campaign returns.
-class PhaseShards {
- public:
-  /// `workers` must be >= the campaign's thread count (1 for inline).
-  explicit PhaseShards(std::size_t workers)
-      : shards_(workers == 0 ? 1 : workers) {}
-
-  PhaseTotals& shard(std::size_t worker) { return shards_.at(worker).totals; }
-
-  PhaseTotals merged() const {
-    PhaseTotals total;
-    for (const Shard& s : shards_) total += s.totals;
-    return total;
-  }
-
- private:
-  struct alignas(64) Shard {
-    PhaseTotals totals;
-  };
-  std::vector<Shard> shards_;
-};
 
 /// Everything a pooled case runner varies on. The defaults reproduce the
 /// clean Fig-5 campaign runs in bench/ext_campaign; the chaos knobs
@@ -85,12 +44,8 @@ struct CaseRunnerConfig {
 
 /// Factory building one pooled runner per campaign worker for case `name`
 /// ("I", "II" or "III" — same configs as bench/ext_campaign: case I at the
-/// vulnerable D=20ms over 10s, cases II/III at scenario defaults). When
-/// `phases` is non-null each worker streams its per-phase wall clock into
-/// phases->shard(worker); the caller owns the shards and must size them
-/// for the campaign's thread count.
+/// vulnerable D=20ms over 10s, cases II/III at scenario defaults).
 ScenarioRunnerFactory make_case_runner_factory(const std::string& name,
-                                               const CaseRunnerConfig& config,
-                                               PhaseShards* phases = nullptr);
+                                               const CaseRunnerConfig& config);
 
 }  // namespace sent::pipeline

@@ -4,7 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/assert.hpp"
 
 namespace sent::sim {
@@ -13,7 +13,8 @@ namespace {
 
 /// All sim metrics register together on first use, so any run that touches
 /// the event queue exposes the full set (keeps snapshots comparable across
-/// runs that never trip the watchdog, say). DESIGN.md §11.
+/// runs that never trip the watchdog, say). The event loop is one phase
+/// scope, timed once per run_until drain. DESIGN.md §11.
 struct Metrics {
   obs::Counter scheduled =
       obs::Registry::global().counter("sim.events_scheduled");
@@ -24,6 +25,7 @@ struct Metrics {
   obs::Counter watchdog_trips =
       obs::Registry::global().counter("sim.watchdog_trips");
   obs::Gauge queue_hwm = obs::Registry::global().gauge("sim.queue_hwm");
+  obs::Phase run_until{"sim.run_until"};
 
   static const Metrics& get() {
     static Metrics m;
@@ -367,6 +369,7 @@ struct DrainScope {
 };
 
 void EventQueue::run_until(Cycle until) {
+  obs::Span span(Metrics::get().run_until);
   DrainScope scope(*this, until);
   Cycle at = 0;
   while (peek_next(at) && at <= until) step();

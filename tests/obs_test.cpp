@@ -1,8 +1,9 @@
 // Locks down the observability layer's contracts (DESIGN.md §11): shard
 // merging is thread-count invariant, histogram percentiles track a naive
 // sorted reference within their documented factor-2 bound, disabled
-// registries are inert, the JSON export has the promised shape, and a real
-// campaign records byte-identical metrics under --jobs 1 and --jobs 4.
+// registries are inert, the JSON export has the promised shape, the one
+// phase scope feeds exactly the sinks that are on, and a real campaign
+// records byte-identical metrics under --jobs 1 and --jobs 4.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -197,10 +198,13 @@ TEST_F(ObsTest, JsonShape) {
   registry_.counter("a.count").inc(3);
   registry_.gauge("a.hwm").record(8);
   registry_.histogram("a.dist").record(5);
+  const obs::Phase phase("a.time", registry_);
   {
-    obs::ScopedTimer t(registry_.timer("a.time_ns"));
+    obs::Span span(phase);
   }
   obs::Snapshot snap = registry_.snapshot();
+  ASSERT_NE(snap.timer_data("a.time"), nullptr);
+  EXPECT_EQ(snap.timer_data("a.time")->count, 1u);
 
   std::string json = snap.to_json();
   EXPECT_NE(json.find("\"version\": 1"), std::string::npos);
@@ -212,10 +216,10 @@ TEST_F(ObsTest, JsonShape) {
   EXPECT_NE(json.find("\"buckets\": [[3, 1]]"), std::string::npos);
   // Timers only appear when asked for.
   EXPECT_EQ(json.find("\"timers\""), std::string::npos);
-  EXPECT_EQ(json.find("a.time_ns"), std::string::npos);
+  EXPECT_EQ(json.find("a.time"), std::string::npos);
   std::string with = snap.to_json(/*include_timers=*/true);
   EXPECT_NE(with.find("\"timers\""), std::string::npos);
-  EXPECT_NE(with.find("\"a.time_ns\""), std::string::npos);
+  EXPECT_NE(with.find("\"a.time\""), std::string::npos);
 }
 
 TEST_F(ObsTest, TimersExcludedFromDeterministicEquality) {
@@ -232,19 +236,45 @@ TEST_F(ObsTest, TimersExcludedFromDeterministicEquality) {
   EXPECT_EQ(b.timers[0].second.count, 1u);
 }
 
+// The phase scope's timer half: with the registry and the trace log both
+// off a scope records nothing; with only the registry on it times into the
+// phase's timer and leaves the log alone; with both on, one scope feeds
+// both under the phase's one name.
 TEST_F(ObsTest, ScopedTimerRecordsElapsed) {
-  registry_.set_enabled(true);
-  obs::Histogram t = registry_.timer("t");
+  obs::TraceLog& log = obs::TraceLog::global();
+  log.set_enabled(false);
+  log.clear();
+  const obs::Phase phase("test.t", registry_);
   {
-    obs::ScopedTimer timer(t);
+    obs::Span span(phase);
+  }
+  EXPECT_EQ(registry_.snapshot().timer_data("test.t")->count, 0u);
+  EXPECT_EQ(log.size(), 0u);
+
+  registry_.set_enabled(true);
+  {
+    obs::Span span(phase);
   }
   {
-    obs::ScopedTimer timer(t);
+    obs::Span span(phase, 7);
   }
   obs::Snapshot snap = registry_.snapshot();
   ASSERT_EQ(snap.timers.size(), 1u);
+  EXPECT_EQ(snap.timers[0].first, "test.t");
   EXPECT_EQ(snap.timers[0].second.count, 2u);
   EXPECT_TRUE(snap.histograms.empty());
+  EXPECT_EQ(log.size(), 0u);
+
+  log.set_enabled(true);
+  {
+    obs::Span span(phase);
+  }
+  log.set_enabled(false);
+  EXPECT_EQ(registry_.snapshot().timer_data("test.t")->count, 3u);
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_NE(log.to_chrome_json().find("\"name\": \"test.t\""),
+            std::string::npos);
+  log.clear();
 }
 
 TEST_F(ObsTest, SnapshotSectionsAreSortedByName) {
@@ -312,27 +342,36 @@ TEST(ObsCampaignTest, GlobalSnapshotIdenticalAcrossJobCounts) {
   EXPECT_GT(counter("pipeline.analyses"), 0u);
 }
 
+// The phase scope's trace half: spans land in the log only while it is
+// enabled, and a disabled registry keeps their timers empty.
 TEST(ObsTraceTest, SpansRecordOnlyWhenEnabled) {
+  obs::Registry registry;  // disabled
+  const obs::Phase outer_phase("test.outer", registry);
+  const obs::Phase inner_phase("test.inner", registry);
   obs::TraceLog& log = obs::TraceLog::global();
   log.set_enabled(false);
   log.clear();
   {
-    obs::Span span("off", "test");
+    obs::Span span(outer_phase);
   }
   EXPECT_EQ(log.size(), 0u);
 
   log.set_enabled(true);
   {
-    obs::Span outer("outer", "test", 42);
-    obs::Span inner("inner", "test");
+    obs::Span outer(outer_phase, 42);
+    obs::Span inner(inner_phase);
   }
   log.set_enabled(false);
   EXPECT_EQ(log.size(), 2u);
+  const obs::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(snap.timer_data("test.outer")->count, 0u);
+  EXPECT_EQ(snap.timer_data("test.inner")->count, 0u);
 
   std::string json = log.to_chrome_json();
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"outer\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"inner\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"test.outer\", \"cat\": \"test\""),
+            std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"test.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"args\": {\"v\": 42}"), std::string::npos);
   log.clear();

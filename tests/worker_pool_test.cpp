@@ -260,23 +260,48 @@ TEST(WorkerPool, FactoryInvokedAtMostOncePerWorker) {
   EXPECT_LE(built.load(), 4);
 }
 
-// Phase shards: every completed run is accounted exactly once, and the
-// merge covers every worker's shard.
+// Phase scopes (DESIGN.md §11): every completed run is timed exactly once
+// at each boundary, whichever worker ran it; the trace round trip only
+// when the runner does one; and timing never moves the deterministic
+// snapshot away from a serial run's.
 TEST(WorkerPoolPhases, ShardsCountEveryCompletedRun) {
-  PhaseShards shards(4);
-  CampaignOptions options;
-  options.first_seed = 1;
-  options.runs = 6;
-  options.k = 5;
-  options.threads = 4;
-  CampaignStats stats = run_campaign(
-      make_case_runner_factory("II", {}, &shards), options);
-  EXPECT_EQ(stats.runs, 6u);
-  PhaseTotals total = shards.merged();
-  EXPECT_EQ(total.runs, 6u);
-  EXPECT_GT(total.simulate_seconds, 0.0);
-  EXPECT_GT(total.analyze_seconds, 0.0);
-  EXPECT_GE(total.setup_seconds, 0.0);
+  obs::Registry& registry = obs::Registry::global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  auto campaign = [&](std::size_t threads, bool round_trip) {
+    registry.reset();
+    CaseRunnerConfig config;
+    config.trace_round_trip = round_trip;
+    CampaignOptions options;
+    options.first_seed = 1;
+    options.runs = 6;
+    options.k = 5;
+    options.threads = threads;
+    EXPECT_EQ(
+        run_campaign(make_case_runner_factory("II", config), options).runs,
+        6u);
+    return registry.snapshot();
+  };
+  const obs::Snapshot plain = campaign(4, false);
+  const obs::Snapshot round_trip = campaign(4, true);
+  const obs::Snapshot serial = campaign(1, false);
+  registry.reset();
+  registry.set_enabled(was_enabled);
+
+  auto count = [](const obs::Snapshot& snap, const char* timer) {
+    const obs::HistogramData* h = snap.timer_data(timer);
+    EXPECT_NE(h, nullptr) << timer << " not registered";
+    return h ? h->count : 0;
+  };
+  for (const char* timer : {"campaign.run", "apps.run_case2",
+                            "sim.run_until", "pipeline.analyze"}) {
+    EXPECT_EQ(count(plain, timer), 6u) << timer;
+    EXPECT_EQ(count(round_trip, timer), 6u) << timer;
+  }
+  EXPECT_EQ(count(plain, "trace.round_trip"), 0u);
+  EXPECT_EQ(count(round_trip, "trace.round_trip"), 6u);
+  EXPECT_TRUE(plain.deterministic_equal(serial));
+  EXPECT_EQ(plain.to_json(), serial.to_json());
 }
 
 // Seed batching must not move stats: any chunk size aggregates in seed
