@@ -6,8 +6,10 @@
 // benchmark (DESIGN.md §10): an (l, d) grid timing the reference
 // (per-element) vs optimized (norm-cached blocked) kernel build, the
 // first-order vs WSS2+shrinking SMO solver, and compact-SV batch
-// inference, written to BENCH_ml.json together with a small-input parity
-// self-check. Flags:
+// inference, written to BENCH_ml.json together with a parity self-check.
+// The grid's i.i.d. rows are all distinct; one configuration repeats 33
+// distinct rows to l = 1137 (d = 22), the shape of pooled Fig. 5(a)
+// features, so the fit's distinct-row Gram is exercised too. Flags:
 //   --quick          small grid, skip the google-benchmark suite (CI smoke)
 //   --ml-json PATH   where to write BENCH_ml.json (default ./BENCH_ml.json)
 // The process exits nonzero if the parity check fails or the optimized
@@ -129,6 +131,22 @@ ml::Matrix random_matrix(std::size_t l, std::size_t d, std::uint64_t seed) {
   return x;
 }
 
+/// l rows that repeat `distinct` random rows (each at least once) in
+/// shuffled order; distinct == 0 means l i.i.d. rows.
+ml::Matrix repeated_matrix(std::size_t l, std::size_t d, std::size_t distinct,
+                           std::uint64_t seed) {
+  if (distinct == 0) return random_matrix(l, d, seed);
+  ml::Matrix rows = random_matrix(distinct, d, seed);
+  util::Rng rng(seed + 1);
+  std::vector<std::size_t> pick;
+  for (std::size_t i = 0; i < l; ++i)
+    pick.push_back(i < distinct ? i : rng.below(distinct));
+  rng.shuffle(pick);
+  ml::Matrix x(0, d);
+  for (std::size_t k : pick) x.append_row(rows.row(k));
+  return x;
+}
+
 void BM_OcsvmFitScore(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   ml::Matrix rows = random_matrix(n, 20, 2);
@@ -219,8 +237,13 @@ double time_best_ms(std::size_t reps, Fn&& fn) {
   return best;
 }
 
-struct MlGridResult {
+struct MlShape {
   std::size_t l = 0, d = 0;
+  std::size_t distinct = 0;  ///< 0: i.i.d. rows
+};
+
+struct MlGridResult {
+  std::size_t l = 0, d = 0, distinct_rows = 0;
   double kernel_ref_ms = 0, kernel_opt_ms = 0;
   double fit_ref_ms = 0, fit_opt_ms = 0;
   std::size_t iters_ref = 0, iters_opt = 0;
@@ -242,11 +265,13 @@ ml::OcsvmParams grid_params(bool reference) {
   return p;
 }
 
-MlGridResult run_ml_config(std::size_t l, std::size_t d) {
+MlGridResult run_ml_config(MlShape shape) {
+  const std::size_t l = shape.l, d = shape.d;
   MlGridResult res;
   res.l = l;
   res.d = d;
-  ml::Matrix x = random_matrix(l, d, 0xfeed + l + d);
+  res.distinct_rows = shape.distinct == 0 ? l : shape.distinct;
+  ml::Matrix x = repeated_matrix(l, d, shape.distinct, 0xfeed + l + d);
   ml::KernelSpec spec;  // RBF, auto gamma
   double gamma = ml::resolve_gamma(spec, d);
   const std::size_t reps = l >= 1000 ? 2 : 3;
@@ -280,12 +305,10 @@ MlGridResult run_ml_config(std::size_t l, std::size_t d) {
   return res;
 }
 
-MlParity run_ml_parity() {
+MlParity run_ml_parity(const ml::Matrix& x) {
   MlParity parity;
-  const std::size_t l = 80, d = 8;
-  ml::Matrix x = random_matrix(l, d, 0xbeef);
   ml::KernelSpec spec;
-  double gamma = ml::resolve_gamma(spec, d);
+  double gamma = ml::resolve_gamma(spec, x.cols());
 
   std::vector<double> k_ref, k_opt;
   ml::build_kernel_matrix_reference(spec, gamma, x, nullptr, k_ref);
@@ -314,30 +337,47 @@ MlParity run_ml_parity() {
   return parity;
 }
 
+void print_parity(const char* label, const MlParity& parity) {
+  std::printf(
+      "parity (%s): kernel max|diff| %.3e, rho diff %.3e, "
+      "decision max|diff| %.3e -> %s\n",
+      label, parity.kernel_max_abs_diff, parity.rho_diff,
+      parity.decision_max_abs_diff, parity.ok ? "OK" : "FAIL");
+}
+
+void write_parity(std::ostream& os, const char* key, const MlParity& parity) {
+  os << "  \"" << key << "\": {\n"
+     << "    \"kernel_max_abs_diff\": " << parity.kernel_max_abs_diff
+     << ",\n    \"rho_diff\": " << parity.rho_diff
+     << ",\n    \"decision_max_abs_diff\": " << parity.decision_max_abs_diff
+     << ",\n    \"ok\": " << (parity.ok ? "true" : "false") << "\n  },\n";
+}
+
 int run_ml_bench(bool quick, const std::string& json_path) {
-  std::vector<std::pair<std::size_t, std::size_t>> grid = {{300, 32},
-                                                           {600, 64}};
+  std::vector<MlShape> grid = {{300, 32}, {600, 64}};
   if (!quick) {
     grid.push_back({1000, 64});
     grid.push_back({2000, 64});
   }
+  constexpr MlShape kRepeated{1137, 22, 33};
+  grid.push_back(kRepeated);
 
   std::printf("ML data plane: reference vs optimized (%s grid)\n",
               quick ? "quick" : "full");
-  MlParity parity = run_ml_parity();
-  std::printf(
-      "parity (l=80,d=8): kernel max|diff| %.3e, rho diff %.3e, "
-      "decision max|diff| %.3e -> %s\n",
-      parity.kernel_max_abs_diff, parity.rho_diff,
-      parity.decision_max_abs_diff, parity.ok ? "OK" : "FAIL");
+  const MlParity parity = run_ml_parity(random_matrix(80, 8, 0xbeef));
+  const MlParity parity_repeated = run_ml_parity(repeated_matrix(
+      kRepeated.l, kRepeated.d, kRepeated.distinct, 0xbeef));
+  print_parity("l=80,d=8", parity);
+  print_parity("l=1137,d=22 from 33 distinct rows", parity_repeated);
 
   std::vector<MlGridResult> results;
-  for (auto [l, d] : grid) {
-    MlGridResult r = run_ml_config(l, d);
+  for (MlShape shape : grid) {
+    MlGridResult r = run_ml_config(shape);
     std::printf(
-        "l=%4zu d=%3zu  kernel %8.2f -> %8.2f ms (x%.2f)  fit %8.2f -> "
-        "%8.2f ms  iters %6zu -> %6zu  sv %4zu  batch %7.2f -> %7.2f ms\n",
-        r.l, r.d, r.kernel_ref_ms, r.kernel_opt_ms,
+        "l=%4zu d=%3zu distinct=%4zu  kernel %8.2f -> %8.2f ms (x%.2f)  "
+        "fit %8.2f -> %8.2f ms  iters %6zu -> %6zu  sv %4zu  batch %7.2f -> "
+        "%7.2f ms\n",
+        r.l, r.d, r.distinct_rows, r.kernel_ref_ms, r.kernel_opt_ms,
         r.kernel_ref_ms / std::max(r.kernel_opt_ms, 1e-9), r.fit_ref_ms,
         r.fit_opt_ms, r.iters_ref, r.iters_opt, r.sv_count,
         r.decision_ref_ms, r.decision_opt_ms);
@@ -351,15 +391,13 @@ int run_ml_bench(bool quick, const std::string& json_path) {
   }
   os << "{\n  \"bench\": \"ml_data_plane\",\n";
   os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  os << "  \"parity\": {\n"
-     << "    \"kernel_max_abs_diff\": " << parity.kernel_max_abs_diff
-     << ",\n    \"rho_diff\": " << parity.rho_diff
-     << ",\n    \"decision_max_abs_diff\": " << parity.decision_max_abs_diff
-     << ",\n    \"ok\": " << (parity.ok ? "true" : "false") << "\n  },\n";
+  write_parity(os, "parity", parity);
+  write_parity(os, "parity_repeated", parity_repeated);
   os << "  \"grid\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MlGridResult& r = results[i];
     os << "    {\"l\": " << r.l << ", \"d\": " << r.d
+       << ", \"distinct_rows\": " << r.distinct_rows
        << ", \"kernel_ref_ms\": " << r.kernel_ref_ms
        << ", \"kernel_opt_ms\": " << r.kernel_opt_ms << ", \"kernel_speedup\": "
        << r.kernel_ref_ms / std::max(r.kernel_opt_ms, 1e-9)
@@ -376,12 +414,13 @@ int run_ml_bench(bool quick, const std::string& json_path) {
   os.close();
   std::printf("wrote %s\n", json_path.c_str());
 
-  if (!parity.ok) {
+  if (!parity.ok || !parity_repeated.ok) {
     std::fprintf(stderr, "ML parity self-check FAILED\n");
     return 1;
   }
-  // The largest grid entry must show the optimized build winning.
-  const MlGridResult& last = results.back();
+  // The largest i.i.d. grid entry (the one before kRepeated) must show the
+  // optimized build winning.
+  const MlGridResult& last = results[results.size() - 2];
   if (last.kernel_opt_ms >= last.kernel_ref_ms) {
     std::fprintf(stderr,
                  "optimized kernel build (%.2f ms) did not beat the "

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + ctest (both dispatch substrates), then
 # the concurrency tests again under ThreadSanitizer (SENT_SANITIZE=thread),
-# an ASan+UBSan pass over the failure-surface and dispatch-parity tests, a
-# chaos smoke run so the injected-fault paths are exercised on every
-# verify, the interpreter-throughput gate (ext_sim), and the benchmark
-# package's tests plus a traced smoke (perfbench/).
+# an ASan+UBSan pass over the failure-surface, dispatch-parity and OCSVM
+# tests, a chaos smoke run so the injected-fault paths are exercised on
+# every verify, the interpreter-throughput gate (ext_sim), and the
+# benchmark package's tests plus a traced smoke (perfbench/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,7 +62,7 @@ cmake --build build-asan -j "${JOBS}" \
   journal_test cli_test \
   obs_test interval_property_test golden_fig5_test sim_test bytecode_test \
   dispatch_parity_test stream_test stream_parity_test corpus_test \
-  eval_metrics_test
+  eval_metrics_test ml_test ocsvm_reference_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/serialize_test
 ./build-asan/tests/campaign_test
@@ -96,6 +96,13 @@ cmake --build build-asan -j "${JOBS}" \
 # hand-fixture metric battery (DESIGN.md §16).
 ./build-asan/tests/corpus_test
 ./build-asan/tests/eval_metrics_test
+# The OCSVM reads its Gram through a row -> class index over the distinct
+# feature rows (DESIGN.md §10): the detector battery, the identical-rows
+# tie check and the optimized-vs-reference parity suite (duplicated-row
+# shapes included) run sanitized, so an index past the U x U Gram or the
+# hash table cannot hide behind a passing score.
+./build-asan/tests/ml_test
+./build-asan/tests/ocsvm_reference_test
 
 # Chaos smoke: a small fault-intensity grid end to end. Exits nonzero on
 # any process abort, nondeterminism across thread counts, or a clean row
@@ -197,9 +204,11 @@ cmp build/stats_resumed.json build/stats_clean.json
 rm -f build/crash.journal build/stats_clean.journal
 
 # ML data-plane smoke: the quick grid plus the built-in parity self-check
-# (optimized vs reference kernel/solver/decision). micro_perf exits nonzero
-# if parity fails or the optimized kernel build is not faster than the
-# retained reference, so a silent perf or numerics regression fails tier-1.
+# (optimized vs reference kernel/solver/decision), each on i.i.d. rows and
+# on 33 distinct rows repeated to l = 1137 (the pooled Fig. 5(a) shape).
+# micro_perf exits nonzero if parity fails or the optimized kernel build is
+# not faster than the retained reference on the largest i.i.d. entry, so a
+# silent perf or numerics regression fails tier-1.
 ./build/bench/micro_perf --quick --ml-json build/BENCH_ml.json
 test -s build/BENCH_ml.json
 
@@ -237,4 +246,4 @@ cmake --build .bench_build -j "${JOBS}"
 ctest --test-dir .bench_build --output-on-failure
 .bench_build/sentbench --workload chaos-II --seconds 2 --trace 1
 
-echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML parity + vMIPS gate + perfbench tests and traced chaos-II smoke)"
+echo "tier-1 OK (incl. reference-dispatch suite + TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/dispatch-parity/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML parity + vMIPS gate + perfbench tests and traced chaos-II smoke)"

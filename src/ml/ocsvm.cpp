@@ -1,7 +1,10 @@
 #include "ml/ocsvm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -18,7 +21,7 @@ constexpr double kTau = 1e-12;  // denominator floor in the pair update
 
 // ML data-plane introspection (DESIGN.md §11). Everything here is a pure
 // function of the training data, so it stays in the deterministic metrics
-// sections; the one wall-clock quantity (the Gram build) is a phase scope.
+// sections; the wall-clock quantities (Gram build, solve) are phase scopes.
 // Recording happens once per fit / per build — never inside kernel loops,
 // which keeps the disabled-registry overhead on micro_perf under noise.
 struct Metrics {
@@ -37,14 +40,62 @@ struct Metrics {
       obs::Registry::global().histogram("ml.smo_iterations_per_fit");
   obs::Histogram support_vectors =
       obs::Registry::global().histogram("ml.support_vectors_per_fit");
+  obs::Histogram distinct_rows =
+      obs::Registry::global().histogram("ml.distinct_rows_per_fit");
   obs::Phase kernel_build{"ml.kernel_build"};
+  obs::Phase smo{"ml.smo"};
 
   static const Metrics& get() {
     static Metrics m;
     return m;
   }
 };
+
+// The distinct rows of `x` in first-appearance order; cls[i] is the index
+// of row i among them. A flat open-addressed table of class ids (load
+// <= 1/2, linear probing) keyed by a hash of the row's bit patterns finds
+// each row's class; nothing is allocated per row.
+Matrix group_identical_rows(const Matrix& x, std::vector<std::uint32_t>& cls) {
+  const std::size_t l = x.rows();
+  const std::size_t d = x.cols();
+  constexpr std::uint32_t kEmpty = std::numeric_limits<std::uint32_t>::max();
+  std::size_t cap = 16;
+  while (cap < 2 * l) cap <<= 1;
+  std::vector<std::uint32_t> slots(cap, kEmpty);
+  Matrix distinct(0, d);
+  cls.resize(l);
+  for (std::size_t i = 0; i < l; ++i) {
+    std::span<const double> row = x.row(i);
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    for (double v : row) {
+      h ^= std::bit_cast<std::uint64_t>(v);
+      h *= 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    std::size_t s = h & (cap - 1);
+    while (slots[s] != kEmpty &&
+           std::memcmp(distinct.row(slots[s]).data(), row.data(),
+                       d * sizeof(double)) != 0)
+      s = (s + 1) & (cap - 1);
+    if (slots[s] == kEmpty) {
+      slots[s] = static_cast<std::uint32_t>(distinct.rows());
+      distinct.append_row(row);
+    }
+    cls[i] = slots[s];
+  }
+  return distinct;
+}
 }  // namespace
+
+// The Gram as the SMO reads it: K over U distinct rows plus each training
+// row's class, Q(i, j) = K[cls(i) * U + cls(j)].
+struct OneClassSvm::ClassGram {
+  std::vector<double> k;           ///< U x U, row-major
+  std::vector<std::uint32_t> cls;  ///< training row -> class
+  std::size_t u = 0;
+
+  const double* row(std::size_t i) const { return k.data() + cls[i] * u; }
+};
 
 OneClassSvm::OneClassSvm(OcsvmParams params) : params_(params) {
   SENT_REQUIRE_MSG(params_.nu > 0.0 && params_.nu <= 1.0,
@@ -117,20 +168,31 @@ void OneClassSvm::solve(const Matrix& x) {
   const std::size_t l = x.rows();
   const double c = 1.0 / (params_.nu * static_cast<double>(l));
 
-  // Dense kernel matrix. l is at most a few thousand in our experiments,
-  // so O(l^2) memory is the simple and fast choice. The build is the
-  // O(l^2 d) hot path; see kernel.cpp for the blocked norm-cached build
-  // and the retained per-element reference build.
-  std::vector<double> q;
+  // Intervals that ran the same handler path share one feature row, so the
+  // optimized path builds the Gram over the U distinct rows only and reads
+  // Q(i, j) = K[cls(i) * U + cls(j)]: O(U^2 + l) memory instead of O(l^2),
+  // and identical rows see identical Q rows, so they tie exactly. With no
+  // duplicates (U = l) this is the dense Gram of x itself. The build is the
+  // O(U^2 d) hot path; see kernel_opt.cpp for the blocked norm-cached build
+  // and kernel.cpp for the retained per-element reference build, which the
+  // reference path runs densely (identity classes).
+  ClassGram q;
   {
     obs::Span build_span(Metrics::get().kernel_build);
     if (params_.reference) {
-      build_kernel_matrix_reference(params_.kernel, gamma_, x, pool(), q);
+      q.cls.resize(l);
+      std::iota(q.cls.begin(), q.cls.end(), std::uint32_t{0});
+      q.u = l;
+      build_kernel_matrix_reference(params_.kernel, gamma_, x, pool(), q.k);
     } else {
-      build_kernel_matrix(params_.kernel, gamma_, x, pool(), q);
+      const Matrix distinct = group_identical_rows(x, q.cls);
+      q.u = distinct.rows();
+      build_kernel_matrix(params_.kernel, gamma_, distinct, pool(), q.k);
     }
   }
-  Metrics::get().kernel_cells.inc(l * l);
+  Metrics::get().kernel_cells.inc(q.u * q.u);
+  Metrics::get().distinct_rows.record(q.u);
+  obs::Span smo_span(Metrics::get().smo);
 
   // LIBSVM-style feasible start: the first floor(nu*l) points at the upper
   // bound, one fractional point, the rest at zero; sum = 1.
@@ -148,17 +210,18 @@ void OneClassSvm::solve(const Matrix& x) {
 
   // Gradient G = Q alpha.
   std::vector<double> g(l, 0.0);
+  const std::uint32_t* cls = q.cls.data();
   for (std::size_t i = 0; i < l; ++i) {
     if (alpha_[i] <= kEps) continue;
     const double a = alpha_[i];
-    const double* qi = &q[i * l];
-    for (std::size_t j = 0; j < l; ++j) g[j] += a * qi[j];
+    const double* qi = q.row(i);
+    for (std::size_t j = 0; j < l; ++j) g[j] += a * qi[cls[j]];
   }
 
   converged_ = false;
   iterations_ = 0;
   if (params_.reference) {
-    smo_reference(q, l, c, g);
+    smo_reference(q.k, l, c, g);
   } else {
     smo_optimized(q, l, c, g);
   }
@@ -248,8 +311,14 @@ void OneClassSvm::smo_reference(const std::vector<double>& q, std::size_t l,
 // LIBSVM's one-class solver. The active set is a plain index list;
 // gradients of shrunk variables go stale and are reconstructed from
 // Q alpha (support vectors only) before any full-set decision.
-void OneClassSvm::smo_optimized(const std::vector<double>& q, std::size_t l,
+void OneClassSvm::smo_optimized(const ClassGram& q, std::size_t l,
                                 double c, std::vector<double>& g) {
+  // Rows of the Gram are class rows of length U, indexed by cls[t]; kd is
+  // the per-class diagonal Q_tt.
+  const std::uint32_t* cls = q.cls.data();
+  std::vector<double> kd(q.u);
+  for (std::size_t k = 0; k < q.u; ++k) kd[k] = q.k[k * q.u + k];
+
   std::vector<std::size_t> active(l);
   std::iota(active.begin(), active.end(), std::size_t{0});
   const std::size_t shrink_interval = std::min<std::size_t>(l, 1000);
@@ -263,10 +332,10 @@ void OneClassSvm::smo_optimized(const std::vector<double>& q, std::size_t l,
     for (std::size_t t : active) is_active[t] = 1;
     for (std::size_t t = 0; t < l; ++t) {
       if (is_active[t]) continue;
-      const double* qt = &q[t * l];
+      const double* qt = q.row(t);
       double sum = 0.0;
       for (std::size_t j = 0; j < l; ++j)
-        if (alpha_[j] > kEps) sum += alpha_[j] * qt[j];
+        if (alpha_[j] > kEps) sum += alpha_[j] * qt[cls[j]];
       g[t] = sum;
     }
   };
@@ -276,6 +345,10 @@ void OneClassSvm::smo_optimized(const std::vector<double>& q, std::size_t l,
     std::iota(active.begin(), active.end(), std::size_t{0});
   };
 
+  // Rows of one class keep bitwise-equal gradients: a class at one bound
+  // is shrunk, kept and reconstructed as a whole, and a class with rows at
+  // both bounds or a free row has g_up <= G <= g_low, so none of its rows
+  // is shrunk (DESIGN.md §10).
   auto do_shrinking = [&]() {
     Metrics::get().shrink_cycles.inc();
     double g_up = std::numeric_limits<double>::infinity();
@@ -340,15 +413,16 @@ void OneClassSvm::smo_optimized(const std::vector<double>& q, std::size_t l,
     // Second-order choice of the down candidate: maximize the quadratic
     // objective gain (g_t - g_up)^2 / (Q_uu + Q_tt - 2 Q_ut) over
     // violating down-able variables.
-    const double* q_up_row = &q[up * l];
-    const double q_uu = q_up_row[up];
+    const double* q_up_row = q.row(up);
+    const double q_uu = kd[cls[up]];
     std::size_t low = l;
     double best_gain = -std::numeric_limits<double>::infinity();
     for (std::size_t t : active) {
       if (alpha_[t] <= kEps) continue;
       const double grad_diff = g[t] - g_up;
       if (grad_diff <= 0.0) continue;
-      double quad = q_uu + q[t * l + t] - 2.0 * q_up_row[t];
+      const std::uint32_t ct = cls[t];
+      double quad = q_uu + kd[ct] - 2.0 * q_up_row[ct];
       if (quad <= 0.0) quad = kTau;
       const double gain = grad_diff * grad_diff / quad;
       if (gain > best_gain) {
@@ -358,7 +432,7 @@ void OneClassSvm::smo_optimized(const std::vector<double>& q, std::size_t l,
     }
     SENT_ASSERT_MSG(low != l, "WSS2 found no violating down candidate");
 
-    double denom = q_uu + q[low * l + low] - 2.0 * q_up_row[low];
+    double denom = q_uu + kd[cls[low]] - 2.0 * q_up_row[cls[low]];
     double step = (g[low] - g[up]) / std::max(denom, kTau);
     step = std::min(step, c - alpha_[up]);
     step = std::min(step, alpha_[low]);
@@ -370,9 +444,11 @@ void OneClassSvm::smo_optimized(const std::vector<double>& q, std::size_t l,
     alpha_[up] += step;
     alpha_[low] -= step;
 
-    const double* q_low_row = &q[low * l];
-    for (std::size_t t : active)
-      g[t] += step * (q_up_row[t] - q_low_row[t]);
+    const double* q_low_row = q.row(low);
+    for (std::size_t t : active) {
+      const std::uint32_t ct = cls[t];
+      g[t] += step * (q_up_row[ct] - q_low_row[ct]);
+    }
     ++iterations_;
   }
 

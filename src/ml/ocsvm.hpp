@@ -13,15 +13,20 @@
 // nu upper-bounds the fraction of training points scored as outliers and
 // lower-bounds the fraction of support vectors.
 //
-// The default solver uses second-order working-set selection (LIBSVM's
-// WSS2) with shrinking of bound variables; convergence is only declared
-// when the maximal KKT violation over the FULL variable set drops below
-// tol, so shrinking never changes the stopping criterion (DESIGN.md §10).
-// After fit the model is compacted to its support vectors, so decision()
-// and decision_batch() scale with the SV count, not the training size.
-// OcsvmParams::reference = true retains the pre-optimization path
-// (per-element kernel build, first-order maximal-violating-pair SMO,
-// full-training-set decision sums) for parity tests and benchmarks.
+// The default solver builds the Gram over the U distinct rows of the
+// standardized training matrix only (Sentomist's intervals repeat a few
+// feature rows many times) and reads Q_ij through each row's class, so
+// memory is O(U^2 + l) and bitwise-identical rows get bitwise-identical
+// scores. It uses second-order working-set selection (LIBSVM's WSS2) with
+// shrinking of bound variables over all l dual variables; convergence is
+// only declared when the maximal KKT violation over the FULL variable set
+// drops below tol, so shrinking never changes the stopping criterion
+// (DESIGN.md §10). After fit the model is compacted to its support
+// vectors, so decision() and decision_batch() scale with the SV count,
+// not the training size. OcsvmParams::reference = true retains the
+// pre-optimization path (dense per-element kernel build, first-order
+// maximal-violating-pair SMO, full-training-set decision sums) for parity
+// tests and benchmarks.
 #pragma once
 
 #include <memory>
@@ -48,6 +53,8 @@ struct OcsvmParams {
   /// dual near-degenerate: decision values of non-support rows land at the
   /// same magnitude as the solver residual. 1e-8 keeps those values above
   /// the convergence noise so ranking ties break on data, not solver path.
+  /// Identical rows need no tolerance: they share one Gram row and score
+  /// bit-identically, so they tie exactly and keep their index order.
   double tol = 1e-8;
   std::size_t max_iter = 200000;
 
@@ -141,11 +148,13 @@ class OneClassSvm final : public core::OutlierDetector {
   bool converged_ = false;
   bool fitted_ = false;
 
+  struct ClassGram;
+
   util::ThreadPool* pool() const;
   void solve(const Matrix& x);
   void smo_reference(const std::vector<double>& q, std::size_t l, double c,
                      std::vector<double>& g);
-  void smo_optimized(const std::vector<double>& q, std::size_t l, double c,
+  void smo_optimized(const ClassGram& q, std::size_t l, double c,
                      std::vector<double>& g);
   double decision_scaled(std::span<const double> z) const;
 };

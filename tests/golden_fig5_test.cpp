@@ -13,8 +13,11 @@
 //   SENT_UPDATE_GOLDEN=1 ./golden_fig5_test
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -121,6 +124,40 @@ TEST(GoldenFig5Test, CaseIDataPollution) {
     traces.push_back({&result.runs[r].sensor_trace, r});
   check_golden("fig5a.txt",
                record_of(pipeline::analyze(traces, os::irq::kAdc)));
+}
+
+// The same configuration with the feature matrix kept: intervals whose
+// Definition-4 rows are bitwise identical must get bitwise-identical
+// scores, so every duplicate group ties exactly and keeps its index order
+// in the ranking (DESIGN.md §10).
+TEST(GoldenFig5Test, CaseIIdenticalFeatureRowsTie) {
+  apps::Case1Config config;
+  config.seed = 5;
+  apps::Case1Result result = apps::run_case1(config);
+  std::vector<pipeline::TaggedTrace> traces;
+  for (std::size_t r = 0; r < result.runs.size(); ++r)
+    traces.push_back({&result.runs[r].sensor_trace, r});
+  pipeline::AnalysisOptions options;
+  options.keep_features = true;
+  pipeline::AnalysisReport report =
+      pipeline::analyze(traces, os::irq::kAdc, options);
+  ASSERT_FALSE(report.degraded);
+  const ml::Matrix& x = report.features.values;
+  ASSERT_EQ(x.rows(), report.scores.size());
+
+  std::map<std::vector<double>, std::size_t> first_of_row;
+  std::size_t duplicates = 0;
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    auto [it, fresh] = first_of_row.emplace(x.row_vector(i), i);
+    if (fresh) continue;
+    ++duplicates;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(report.scores[i]),
+              std::bit_cast<std::uint64_t>(report.scores[it->second]))
+        << "interval " << i << " scored apart from identical interval "
+        << it->second;
+  }
+  // The property is only meaningful if Fig. 5(a) repeats rows heavily.
+  EXPECT_GT(duplicates, x.rows() / 2);
 }
 
 TEST(GoldenFig5Test, CaseIIPacketLoss) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -225,11 +226,61 @@ TEST(Ocsvm, DeterministicScores) {
   EXPECT_EQ(sa, sb);
 }
 
+// Feature matrices shaped like pooled Fig. 5(a): 33 distinct integer
+// instruction-count rows (d = 22) repeated to l = 1137 and shuffled, with
+// a few handler paths holding most intervals. group[i] is row i's source
+// row.
+Matrix duplicated_counts(std::uint64_t seed, std::vector<std::size_t>& group) {
+  constexpr std::size_t kDistinct = 33, kDim = 22, kRows = 1137;
+  util::Rng rng(seed);
+  std::vector<double> base(kDim);
+  for (double& v : base) v = static_cast<double>(rng.uniform_int(0, 200));
+  Rows distinct;
+  while (distinct.size() < kDistinct) {
+    std::vector<double> row = base;
+    for (int k = 0; k < 3; ++k)
+      row[rng.below(kDim)] += static_cast<double>(rng.uniform_int(0, 40));
+    if (std::find(distinct.begin(), distinct.end(), row) == distinct.end())
+      distinct.push_back(row);
+  }
+  std::vector<double> weights(kDistinct);
+  for (std::size_t k = 0; k < kDistinct; ++k)
+    weights[k] = 1.0 / static_cast<double>((k + 1) * (k + 1));
+  group.clear();
+  for (std::size_t k = 0; k < kDistinct; ++k) group.push_back(k);
+  while (group.size() < kRows) group.push_back(rng.weighted(weights));
+  rng.shuffle(group);
+  Matrix x(0, kDim);
+  for (std::size_t k : group) x.append_row(distinct[k]);
+  return x;
+}
+
+// Bitwise-identical rows must get bitwise-identical scores, so truly tied
+// duplicate groups keep their stable (index) order in the ranking
+// (DESIGN.md §10). Checked over many groups of many pooled-I-shaped
+// matrices, where every duplicate group must score as one value.
 TEST(Ocsvm, IdenticalRowsScoreEqually) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::vector<std::size_t> group;
+    Matrix x = duplicated_counts(seed, group);
+    OneClassSvm svm;
+    std::vector<double> scores = svm.score(x);
+    ASSERT_EQ(scores.size(), group.size());
+    std::vector<std::size_t> first(group.size(), group.size());
+    std::size_t split = 0;
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      std::size_t& f = first[group[i]];
+      if (f == group.size()) f = i;
+      split += std::bit_cast<std::uint64_t>(scores[i]) !=
+               std::bit_cast<std::uint64_t>(scores[f]);
+    }
+    EXPECT_EQ(split, 0u) << "rows scored apart from their group, seed "
+                         << seed;
+  }
   Rows rows(50, std::vector<double>{1.0, 2.0, 3.0});
   OneClassSvm svm;
   auto scores = svm.score(rows);
-  for (double s : scores) EXPECT_NEAR(s, scores[0], 1e-9);
+  for (double s : scores) EXPECT_EQ(s, scores[0]);
 }
 
 TEST(Ocsvm, ParamValidation) {
