@@ -28,9 +28,15 @@ Machine::Machine(sim::EventQueue& queue, trace::Recorder& recorder,
     : queue_(queue),
       recorder_(recorder),
       program_(program),
-      bytecode_(sim::dispatch_mode() == sim::DispatchMode::Bytecode) {}
+      bytecode_(sim::dispatch_mode() == sim::DispatchMode::Bytecode) {
+  if (bytecode_ && queue_.engine() == sim::DispatchMode::Bytecode)
+    lane_ = queue_.open_lane(&Machine::fire_lane, this);
+}
 
-Machine::~Machine() { flush_metrics(); }
+Machine::~Machine() {
+  if (lane_ != sim::kNoLane) queue_.close_lane(lane_);
+  flush_metrics();
+}
 
 void Machine::flush_metrics() {
   if (pending_raises_ == 0 && pending_delivered_ == 0 &&
@@ -75,11 +81,11 @@ void Machine::raise_irq(trace::IrqLine line) {
   pending_ |= (1ULL << line);
   // If this raise happens from inside an executing instruction, the current
   // step schedules its own continuation and will see the pending bit there.
-  if (!step_scheduled_ && !in_step_) wake(costs_.wakeup);
+  if (!step_scheduled_ && !in_step_) schedule_step(costs_.wakeup);
 }
 
 void Machine::notify_task_posted() {
-  if (!step_scheduled_ && !in_step_) wake(costs_.wakeup);
+  if (!step_scheduled_ && !in_step_) schedule_step(costs_.wakeup);
 }
 
 void Machine::disable_interrupts() { ++atomic_depth_; }
@@ -92,7 +98,7 @@ void Machine::enable_interrupts() {
   // next step boundary; make sure one is scheduled if we are between
   // steps (enable from outside an instruction is unusual but legal).
   if (atomic_depth_ == 0 && pending_ != 0 && !step_scheduled_ && !in_step_)
-    wake(costs_.wakeup);
+    schedule_step(costs_.wakeup);
 }
 
 std::vector<trace::IrqLine> Machine::bound_lines() const {
@@ -108,31 +114,29 @@ bool Machine::sleeping() const {
   return frames_.empty() && pending_ == 0 && !step_scheduled_;
 }
 
+void Machine::fire_lane(void* self) {
+  auto* machine = static_cast<Machine*>(self);
+  machine->step_scheduled_ = false;
+  machine->step();
+}
+
 void Machine::schedule_step(std::uint32_t delay) {
   SENT_ASSERT(!step_scheduled_);
   step_scheduled_ = true;
+  // Continuations and wake-ups alike write (at, seq) into the machine's
+  // lane on the pooled engine: no slot, no closure, no heap entry. A wake
+  // raised from inside a device closure needs no parking either, since
+  // the drain fires the lane next exactly when it is first in (at, seq)
+  // order (DESIGN.md §12.4). The reference substrate keeps the scheduled
+  // round-trip (its pre-bytecode cost profile).
+  if (lane_ != sim::kNoLane) {
+    queue_.arm_lane(lane_, queue_.now() + delay);
+    return;
+  }
   queue_.schedule_after(delay, [this] {
     step_scheduled_ = false;
     step();
   });
-}
-
-void Machine::wake(std::uint32_t delay) {
-  SENT_ASSERT(!step_scheduled_);
-  step_scheduled_ = true;
-  auto fire = [this] {
-    step_scheduled_ = false;
-    step();
-  };
-  // Wake-ups are raised from inside device event closures; on the bytecode
-  // substrate they ride the queue's deferred-inline path and usually skip
-  // the heap entirely. The reference engine keeps the scheduled round-trip
-  // (its pre-bytecode cost profile).
-  if (bytecode_) {
-    queue_.schedule_or_inline(queue_.now() + delay, fire);
-  } else {
-    queue_.schedule_after(delay, fire);
-  }
 }
 
 int Machine::deliverable_irq() const {

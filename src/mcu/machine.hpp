@@ -9,7 +9,9 @@
 //
 // Execution is driven by the shared discrete-event queue: each machine step
 // (deliver an interrupt, execute one instruction, start a task, retire a
-// frame) is one event, and its cycle cost delays the next step. Devices
+// frame) is one event, and its cycle cost delays the next step. On the
+// pooled engine a bytecode machine's steps ride its own step lane instead
+// of the general heap (DESIGN.md §12.4). Devices
 // raise interrupt lines asynchronously; a raised line is delivered at the
 // next step boundary if the preemption rule allows, otherwise it stays
 // pending. A sleeping machine (no frames, no runnable task) schedules
@@ -146,6 +148,7 @@ class Machine {
   std::vector<CodeId> handlers_ = std::vector<CodeId>(64, kNoHandler);
   bool step_scheduled_ = false;
   bool in_step_ = false;  // step() will schedule its own continuation
+  sim::LaneId lane_ = sim::kNoLane;  // step lane (bytecode on pooled engine)
   std::uint32_t atomic_depth_ = 0;
   std::uint64_t ints_delivered_ = 0;
   std::function<bool(trace::IrqLine)> irq_drop_hook_;
@@ -158,11 +161,11 @@ class Machine {
 
   static constexpr CodeId kNoHandler = ~CodeId{0};
 
+  /// Schedule the next step `delay` cycles from now: a continuation, or a
+  /// wake from sleep (delay = costs_.wakeup).
   void schedule_step(std::uint32_t delay);
-  /// Wake from sleep: like schedule_step, but on the bytecode substrate the
-  /// step rides the queue's deferred-inline path (raises come from inside
-  /// device event closures, so the heap round-trip is usually avoidable).
-  void wake(std::uint32_t delay);
+  /// Lane callback: the queue fires the step armed in `lane_`.
+  static void fire_lane(void* self);
   void step();
   /// One machine step (deliver / execute / start / retire). Returns true
   /// with the cycle cost of the step in `delay` when a continuation is

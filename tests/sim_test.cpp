@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hpp"
@@ -439,6 +441,148 @@ TEST(DeferredInline, BlocksTryStepInlineUntilFlushed) {
   });
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+// ---------------------------------------------------------- step lanes
+
+// A stepper re-arms itself the way a machine does: through its lane on the
+// pooled engine, through schedule_at on the boxed one. It also drops heap
+// events at the cycle of its next step, so lanes and heap entries tie on
+// `at` and must break the tie by the seq each reserved.
+struct Stepper {
+  EventQueue& q;
+  std::vector<std::pair<Cycle, int>>& log;
+  int id;
+  int left;
+  std::uint32_t state;
+  LaneId lane = kNoLane;
+
+  static void fire_lane(void* self) { static_cast<Stepper*>(self)->fire(); }
+  void arm(Cycle at) {
+    if (lane != kNoLane) {
+      q.arm_lane(lane, at);
+    } else {
+      q.schedule_at(at, [this] { fire(); });
+    }
+  }
+  void fire() {
+    log.emplace_back(q.now(), id);
+    if (--left == 0) return;
+    state = state * 1103515245u + 12345u;
+    const Cycle at = q.now() + (state >> 16) % 8;  // 0 delay ties on now
+    if ((state >> 8) % 3 == 0)
+      q.schedule_at(at, [this] { log.emplace_back(q.now(), -id); });
+    arm(at);
+  }
+};
+
+std::vector<std::pair<Cycle, int>> run_steppers(DispatchMode mode,
+                                                int count) {
+  EventQueue q(mode);
+  std::vector<std::pair<Cycle, int>> log;
+  std::vector<std::unique_ptr<Stepper>> steppers;
+  for (int id = 1; id <= count; ++id) {
+    steppers.push_back(std::make_unique<Stepper>(
+        Stepper{q, log, id, 40, static_cast<std::uint32_t>(id) * 7919u}));
+    if (mode == DispatchMode::Bytecode)
+      steppers.back()->lane =
+          q.open_lane(&Stepper::fire_lane, steppers.back().get());
+  }
+  for (auto& s : steppers) s->arm(static_cast<Cycle>(s->id % 5));
+  q.run_all();
+  EXPECT_TRUE(q.empty());
+  return log;
+}
+
+// Lanes on the pooled engine fire in exactly the order the same steps take
+// through the boxed heap: (at, seq), with seq reserved at arm time. 100
+// lanes grow the tournament tree through several doublings.
+TEST(StepLanes, InterleaveWithHeapInSeqOrder) {
+  for (int count : {1, 2, 9, 100}) {
+    SCOPED_TRACE(count);
+    const auto lanes = run_steppers(DispatchMode::Bytecode, count);
+    EXPECT_EQ(lanes, run_steppers(DispatchMode::Reference, count));
+    EXPECT_GE(lanes.size(), static_cast<std::size_t>(40 * count));
+  }
+}
+
+// An armed lane is a live event: it blocks inline steps at or after its
+// time, and a deferred continuation behind it spills to the heap.
+TEST(StepLanes, ArmedLaneBlocksInlineAndDeferred) {
+  EventQueue q(DispatchMode::Bytecode);
+  std::vector<int> order;
+  struct Owner {
+    std::vector<int>* order;
+    static void fire(void* self) {
+      static_cast<Owner*>(self)->order->push_back(2);
+    }
+  } owner{&order};
+  const LaneId lane = q.open_lane(&Owner::fire, &owner);
+  q.schedule_at(10, [&] {
+    order.push_back(1);
+    q.arm_lane(lane, 15);
+    EXPECT_EQ(q.size(), 1u);
+    EXPECT_FALSE(q.try_step_inline(15));  // the lane fires first
+    EXPECT_TRUE(q.try_step_inline(14));
+    q.schedule_or_inline(20, [&] { order.push_back(3); });
+  });
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(q.deferred_spilled(), 1u);
+  EXPECT_EQ(q.executed(), 4u);
+  EXPECT_EQ(q.now(), 20u);
+}
+
+// The watchdog is charged before a lane fires; on a trip the step stays
+// armed and fires once the budget is raised.
+TEST(StepLanes, WatchdogLeavesLaneArmed) {
+  EventQueue q(DispatchMode::Bytecode);
+  int fired = 0;
+  struct Owner {
+    int* fired;
+    static void fire(void* self) { ++*static_cast<Owner*>(self)->fired; }
+  } owner{&fired};
+  const LaneId lane = q.open_lane(&Owner::fire, &owner);
+  q.schedule_at(1, [] {});
+  q.arm_lane(lane, 5);
+  q.set_watchdog_budget(1);
+  EXPECT_THROW(q.run_all(), WatchdogTimeout);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.size(), 1u);
+  q.set_watchdog_budget(0);
+  q.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.empty());
+}
+
+// reset() disarms every lane but keeps open lanes usable; closing a lane
+// drops its armed step, and the next open reuses it.
+TEST(StepLanes, ResetDisarmsAndCloseRetires) {
+  EventQueue q(DispatchMode::Bytecode);
+  int fired = 0;
+  struct Owner {
+    int* fired;
+    static void fire(void* self) { ++*static_cast<Owner*>(self)->fired; }
+  } owner{&fired};
+  const LaneId a = q.open_lane(&Owner::fire, &owner);
+  const LaneId b = q.open_lane(&Owner::fire, &owner);
+  q.arm_lane(a, 3);
+  q.arm_lane(b, 4);
+  q.reset();
+  EXPECT_TRUE(q.empty());
+  q.run_all();
+  EXPECT_EQ(fired, 0);
+  q.arm_lane(b, 2);
+  q.arm_lane(a, 6);
+  q.close_lane(b);
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.open_lane(&Owner::fire, &owner), b);
+  q.run_all();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(q.now(), 6u);
+  EXPECT_THROW(EventQueue(DispatchMode::Reference).open_lane(&Owner::fire,
+                                                             &owner),
+               util::PreconditionError);
 }
 
 }  // namespace
