@@ -1,6 +1,6 @@
-// Extension E6 — interpreter-core throughput: virtual MIPS and events/sec
-// for the bytecode dispatch engine versus the retained reference (closure)
-// engine, measured on the three Fig-5 case studies.
+// Extension E6 — interpreter-core throughput: virtual MIPS, events/sec and
+// ns/event for the bytecode dispatch engine versus the retained reference
+// (closure) engine, measured on the three Fig-5 case studies.
 //
 // Each case runs under BOTH DispatchModes on the same seed. The timed
 // region covers only the simulation (run_caseN); the Sentomist analysis
@@ -141,6 +141,13 @@ struct ModeResult {
                ? static_cast<double>(events) / wall_seconds
                : 0.0;
   }
+  /// Wall nanoseconds per executed event: unlike vMIPS it also charges
+  /// the steps that execute no instruction (interrupt entry, task start,
+  /// frame retirement) and the device events.
+  double ns_per_event() const {
+    return events > 0 ? wall_seconds * 1e9 / static_cast<double>(events)
+                      : 0.0;
+  }
 };
 
 ModeResult run_mode(CaseRunner runner, sim::DispatchMode mode,
@@ -194,10 +201,12 @@ CaseComparison run_case(const std::string& name, CaseRunner runner,
       !cmp.bytecode.trace_blob.empty();
   cmp.rankings_identical = cmp.reference.ranking == cmp.bytecode.ranking;
 
-  std::printf("%-26s ref %7.2f vMIPS  bytecode %7.2f vMIPS  "
-              "speedup %5.2fx  traces %s  ranking %s\n",
-              name.c_str(), cmp.reference.vmips(), cmp.bytecode.vmips(),
-              cmp.speedup(), cmp.traces_identical ? "identical" : "DIVERGED",
+  std::printf("%-26s ref %7.2f vMIPS %6.1f ns/ev  bytecode %7.2f vMIPS "
+              "%6.1f ns/ev  speedup %5.2fx  traces %s  ranking %s\n",
+              name.c_str(), cmp.reference.vmips(),
+              cmp.reference.ns_per_event(), cmp.bytecode.vmips(),
+              cmp.bytecode.ns_per_event(), cmp.speedup(),
+              cmp.traces_identical ? "identical" : "DIVERGED",
               cmp.rankings_identical ? "identical" : "DIVERGED");
   std::printf("%-26s ref %7.3fs %9.0f ev/s   bytecode %7.3fs %9.0f ev/s  "
               "(%llu instrs, %llu events)\n",
@@ -224,10 +233,12 @@ bool write_json(const std::string& path, int reps,
        << ", \"events\": " << c.bytecode.events << ",\n"
        << "     \"reference\": {\"wall_seconds\": "
        << c.reference.wall_seconds << ", \"vmips\": " << c.reference.vmips()
-       << ", \"events_per_sec\": " << c.reference.events_per_sec() << "},\n"
+       << ", \"events_per_sec\": " << c.reference.events_per_sec()
+       << ", \"ns_per_event\": " << c.reference.ns_per_event() << "},\n"
        << "     \"bytecode\": {\"wall_seconds\": " << c.bytecode.wall_seconds
        << ", \"vmips\": " << c.bytecode.vmips()
-       << ", \"events_per_sec\": " << c.bytecode.events_per_sec() << "},\n"
+       << ", \"events_per_sec\": " << c.bytecode.events_per_sec()
+       << ", \"ns_per_event\": " << c.bytecode.ns_per_event() << "},\n"
        << "     \"speedup\": " << c.speedup()
        << ", \"traces_identical\": "
        << (c.traces_identical ? "true" : "false")

@@ -178,6 +178,93 @@ TEST(DispatchParity, RandomizedWorkloadBattery) {
   }
 }
 
+/// The fault batteries' plan: runtime faults at intensity 0.5, trace
+/// faults off (those perturb saved text, not the simulation).
+fault::FaultPlan battery_plan() {
+  fault::FaultPlan plan = fault::FaultPlan::at_intensity(0.5);
+  plan.trace_truncate_prob = 0.0;
+  plan.trace_corrupt_prob = 0.0;
+  return plan;
+}
+
+// Injected radio, sensor, clock and IRQ faults push the relay and the
+// CTP mesh through their rarest interleavings: wake-ups from spurious
+// IRQs, lost raises, stuck-busy radios. The substrates must still agree.
+TEST(DispatchParity, Case2FaultBattery) {
+  util::Rng gen(0xD15FA7C6);
+  for (int round = 0; round < 4; ++round) {
+    const std::uint64_t seed = 1 + gen.below(1'000'000);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_parity(
+        [seed] {
+          apps::Case2Config config;
+          config.seed = seed;
+          config.run_seconds = 4.0;
+          config.faults = battery_plan();
+          config.event_budget = 50'000'000;
+          apps::Case2Result r = apps::run_case2(config);
+          Observed o;
+          o.traces = serialize({r.relay_trace});
+          o.ranking = ranking_of(r.relay_trace, os::irq::kRadioSpi);
+          return o;
+        },
+        "fault-battery-case2");
+  }
+}
+
+TEST(DispatchParity, Case3FaultBattery) {
+  util::Rng gen(0xD15FA7C7);
+  for (int round = 0; round < 4; ++round) {
+    const std::uint64_t seed = 1 + gen.below(1'000'000);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_parity(
+        [seed] {
+          apps::Case3Config config;
+          config.seed = seed;
+          config.run_seconds = 3.0;
+          config.faults = battery_plan();
+          config.event_budget = 50'000'000;
+          apps::Case3Result r = apps::run_case3(config);
+          Observed o;
+          o.traces = serialize(r.traces);
+          o.ranking = ranking_of(r.traces[r.sources.front()], r.report_line);
+          return o;
+        },
+        "fault-battery-case3");
+  }
+}
+
+// A budget far below the run's event count trips the watchdog mid-run.
+// Both engines must stop at the same event: same budget, same events
+// executed since arming, same message (which names the cycle).
+TEST(DispatchParity, WatchdogTripsAtTheSameEvent) {
+  struct Trip {
+    std::uint64_t budget = 0;
+    std::uint64_t executed = 0;
+    std::string what;
+  };
+  auto trip = [](sim::DispatchMode mode) {
+    ModeGuard guard(mode);
+    apps::Case3Config config;
+    config.seed = 19;
+    config.run_seconds = 3.0;
+    config.event_budget = 2'500;
+    try {
+      apps::run_case3(config);
+    } catch (const sim::WatchdogTimeout& e) {
+      return Trip{e.budget(), e.events_executed(), e.what()};
+    }
+    ADD_FAILURE() << "watchdog did not trip on " << sim::to_string(mode);
+    return Trip{};
+  };
+  const Trip byte = trip(sim::DispatchMode::Bytecode);
+  const Trip ref = trip(sim::DispatchMode::Reference);
+  EXPECT_EQ(byte.budget, 2'500u);
+  EXPECT_EQ(byte.budget, ref.budget);
+  EXPECT_EQ(byte.executed, ref.executed);
+  EXPECT_EQ(byte.what, ref.what);
+}
+
 TEST(DispatchParity, RandomizedCase3Battery) {
   util::Rng gen(0xD15FA7C5);
   for (int round = 0; round < 2; ++round) {

@@ -181,6 +181,130 @@ TEST(Channel, InvalidUsageThrows) {
   EXPECT_THROW(ch.transmit(0, data_packet(1), 0), util::PreconditionError);
 }
 
+// ---- node ids past one 64-bit word ----------------------------------------
+
+// Records which listener got each frame, in delivery order.
+struct Tagged final : RadioListener {
+  NodeId id = 0;
+  std::vector<NodeId>* log = nullptr;
+  void on_frame(const Packet&) override { log->push_back(id); }
+};
+
+struct WideHarness {
+  sim::EventQueue q;
+  Channel ch{q, util::Rng(42)};
+  std::vector<NodeId> log;
+  std::vector<Tagged> nodes;
+  /// Attaches `ids` in the given order.
+  explicit WideHarness(const std::vector<NodeId>& ids) : nodes(ids.size()) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      nodes[i].id = ids[i];
+      nodes[i].log = &log;
+      ch.add_node(ids[i], &nodes[i]);
+    }
+  }
+};
+
+TEST(ChannelWide, EveryoneHearsInAscendingIdOrder) {
+  std::vector<NodeId> ids;
+  for (NodeId id = 130; id-- > 0;) ids.push_back(id);  // attach descending
+  ids.push_back(65534);
+  WideHarness h(ids);
+  h.ch.transmit(100, data_packet(kBroadcast), 50);
+  h.q.run_all();
+  std::vector<NodeId> want;
+  for (NodeId id = 0; id < 130; ++id)
+    if (id != 100) want.push_back(id);
+  want.push_back(65534);
+  EXPECT_EQ(h.log, want);
+  EXPECT_EQ(h.ch.frames_delivered(), 130u);
+}
+
+TEST(ChannelWide, LinksAcrossWordsLimitAudibilityAndCarrier) {
+  WideHarness h({200, 128, 127, 64, 63});
+  make_chain(h.ch, {63, 64, 128, 200});
+  EXPECT_FALSE(h.ch.carrier_busy(128));
+  h.ch.transmit(64, data_packet(kBroadcast), 50);
+  EXPECT_TRUE(h.ch.carrier_busy(64));  // own transmission
+  EXPECT_TRUE(h.ch.carrier_busy(63));
+  EXPECT_TRUE(h.ch.carrier_busy(128));
+  EXPECT_FALSE(h.ch.carrier_busy(127));  // attached, no link
+  EXPECT_FALSE(h.ch.carrier_busy(200));  // two hops away
+  EXPECT_FALSE(h.ch.carrier_busy(999));  // never seen: no links
+  h.q.run_all();
+  EXPECT_EQ(h.log, (std::vector<NodeId>{63, 128}));
+  EXPECT_FALSE(h.ch.carrier_busy(63));
+}
+
+TEST(ChannelWide, CarrierSenseBeforeAnyLinkCoversUnseenIds) {
+  WideHarness h({70, 140});
+  h.ch.transmit(140, data_packet(kBroadcast), 50);
+  EXPECT_TRUE(h.ch.carrier_busy(70));
+  EXPECT_TRUE(h.ch.carrier_busy(999));  // every pair connected
+}
+
+TEST(ChannelWide, HiddenTerminalsCollideAtSharedReceiver) {
+  // 63 and 200 both reach 128 but not each other; 64 hears only 63.
+  WideHarness h({63, 64, 128, 200});
+  h.ch.add_link(63, 128);
+  h.ch.add_link(200, 128);
+  h.ch.add_link(63, 64);
+  h.ch.transmit(63, data_packet(kBroadcast), 100);
+  h.q.run_until(40);
+  h.q.advance_to(40);
+  h.ch.transmit(200, data_packet(kBroadcast), 100);
+  h.q.run_all();
+  EXPECT_EQ(h.log, (std::vector<NodeId>{64}));  // 63's frame, intact
+  EXPECT_EQ(h.ch.frames_collided(), 2u);        // both copies at 128
+  EXPECT_EQ(h.ch.frames_delivered(), 1u);
+}
+
+TEST(ChannelWide, HalfDuplexCorruptsBothSenders) {
+  WideHarness h({70, 140, 300});
+  h.ch.add_link(70, 140);
+  h.ch.add_link(140, 300);
+  h.ch.transmit(70, data_packet(kBroadcast), 100);
+  h.ch.transmit(140, data_packet(kBroadcast), 100);
+  h.q.run_all();
+  // 70 and 140 were each transmitting during the other's frame; 300
+  // hears 140 only, and 140's frame overlaps nothing 300 can hear.
+  EXPECT_EQ(h.log, (std::vector<NodeId>{300}));
+  EXPECT_EQ(h.ch.frames_collided(), 2u);
+}
+
+TEST(ChannelWide, LinksMayPrecedeAttachment) {
+  sim::EventQueue q;
+  Channel ch(q, util::Rng(1));
+  ch.add_link(64, 65);
+  std::vector<NodeId> log;
+  Tagged a, b;
+  a.id = 64;
+  b.id = 65;
+  a.log = b.log = &log;
+  // Linked but not attached: not a legal sender yet.
+  EXPECT_THROW(ch.transmit(64, data_packet(65), 10), util::PreconditionError);
+  ch.add_node(65, &b);
+  ch.add_node(64, &a);
+  ch.transmit(64, data_packet(65), 10);
+  q.run_all();
+  EXPECT_EQ(log, (std::vector<NodeId>{65}));
+}
+
+TEST(ChannelWide, PreconditionsHold) {
+  WideHarness h({64, 300});
+  Capture extra;
+  EXPECT_THROW(h.ch.add_node(300, &extra), util::PreconditionError);
+  EXPECT_THROW(h.ch.add_node(64, &extra), util::PreconditionError);
+  EXPECT_THROW(h.ch.add_link(99, 99), util::PreconditionError);
+  EXPECT_THROW(h.ch.add_link(300, 300), util::PreconditionError);
+  EXPECT_THROW(h.ch.transmit(65, data_packet(64), 10),
+               util::PreconditionError);
+  h.ch.add_node(65, &extra);  // a fresh id still attaches
+  h.ch.transmit(65, data_packet(64), 10);
+  h.q.run_all();
+  EXPECT_EQ(h.log, (std::vector<NodeId>{64, 300}));
+}
+
 TEST(Topology, GridConnectivity) {
   sim::EventQueue q;
   Channel ch(q, util::Rng(1));
