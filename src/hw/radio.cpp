@@ -120,9 +120,15 @@ sim::Cycle RadioChip::schedule_control(net::Packet frame) {
       std::max(queue_.now() + params_.turnaround, antenna_free_at_);
   antenna_free_at_ = start + air;
   tx_airtime_ += air;
-  queue_.schedule_or_inline(start, [this, frame = std::move(frame), air] {
-    channel_.transmit(node_id_, frame, air);
-  });
+  // The airtime is recomputed on the air rather than captured: params_ is
+  // fixed at construction, and `this` plus the frame fill EventFn's inline
+  // storage exactly.
+  auto on_air = [this, frame = std::move(frame)] {
+    channel_.transmit(node_id_, frame, params_.airtime(frame.size_bytes()));
+  };
+  static_assert(sim::EventFn::stores_inline<decltype(on_air)>,
+                "control-frame closure must fit EventFn's inline storage");
+  queue_.schedule_or_inline(start, std::move(on_air));
   return antenna_free_at_;
 }
 

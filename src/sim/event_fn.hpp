@@ -26,6 +26,14 @@ class EventFn {
   static constexpr std::size_t kInlineSize = 48;
   static constexpr std::size_t kAlign = alignof(std::max_align_t);
 
+  /// True when a closure of type F is stored in place rather than in a heap
+  /// cell. Hot call sites static_assert it, so a capture that grows past
+  /// kInlineSize fails to compile instead of allocating per event.
+  template <typename F>
+  static constexpr bool stores_inline =
+      sizeof(F) <= kInlineSize && alignof(F) <= kAlign &&
+      std::is_nothrow_move_constructible_v<F>;
+
   EventFn() = default;
   EventFn(std::nullptr_t) {}  // NOLINT: implicit like std::function
 
@@ -38,8 +46,7 @@ class EventFn {
     if constexpr (std::is_same_v<Fn, std::function<void()>>) {
       if (!f) return;  // empty std::function => empty EventFn
     }
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= kAlign &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
+    if constexpr (stores_inline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       static constexpr VTable vt = {
           [](void* p) { (*static_cast<Fn*>(p))(); },
