@@ -28,13 +28,10 @@ Machine::Machine(sim::EventQueue& queue, trace::Recorder& recorder,
     : queue_(queue),
       recorder_(recorder),
       program_(program),
-      bytecode_(sim::dispatch_mode() == sim::DispatchMode::Bytecode) {
-  if (bytecode_ && queue_.engine() == sim::DispatchMode::Bytecode)
-    lane_ = queue_.open_lane(&Machine::fire_lane, this);
-}
+      lane_(queue.open_lane(&Machine::fire_lane, this)) {}
 
 Machine::~Machine() {
-  if (lane_ != sim::kNoLane) queue_.close_lane(lane_);
+  queue_.close_lane(lane_);
   flush_metrics();
 }
 
@@ -61,10 +58,6 @@ void Machine::register_handler(trace::IrqLine line, CodeId handler) {
                    "line " << int(line) << " already has a handler");
   SENT_REQUIRE_MSG(!program_.code(handler).is_task,
                    "cannot bind a task as an interrupt handler");
-  SENT_REQUIRE_MSG(program_.code(handler).built_for == mode(),
-                   "code object " << program_.code(handler).name
-                                  << " was built for a different dispatch "
-                                     "mode than this machine");
   handlers_[line] = handler;
 }
 
@@ -124,19 +117,10 @@ void Machine::schedule_step(std::uint32_t delay) {
   SENT_ASSERT(!step_scheduled_);
   step_scheduled_ = true;
   // Continuations and wake-ups alike write (at, seq) into the machine's
-  // lane on the pooled engine: no slot, no closure, no heap entry. A wake
-  // raised from inside a device closure needs no parking either, since
-  // the drain fires the lane next exactly when it is first in (at, seq)
-  // order (DESIGN.md §12.4). The reference substrate keeps the scheduled
-  // round-trip (its pre-bytecode cost profile).
-  if (lane_ != sim::kNoLane) {
-    queue_.arm_lane(lane_, queue_.now() + delay);
-    return;
-  }
-  queue_.schedule_after(delay, [this] {
-    step_scheduled_ = false;
-    step();
-  });
+  // lane: no slot, no closure, no heap entry. A wake raised from inside a
+  // device closure needs no parking either, since the drain fires the lane
+  // next exactly when it is first in (at, seq) order (DESIGN.md §12.4).
+  queue_.arm_lane(lane_, queue_.now() + delay);
 }
 
 int Machine::deliverable_irq() const {
@@ -353,30 +337,6 @@ std::uint32_t Machine::exec_bytecode(Frame& frame, const CodeObject& code) {
   }
 }
 
-/// Reference dispatch: the pre-bytecode closure-per-instruction path, kept
-/// for parity testing.
-std::uint32_t Machine::exec_reference(Frame& frame, const CodeObject& code) {
-  const Instr& instr = code.ref_instrs[frame.pc];
-  recorder_.on_instr(queue_.now(), instr.global_id);
-  StepAction action = instr.fn();
-  // NOTE: instr.fn may post tasks or raise IRQs (via devices) but cannot
-  // mutate the frame stack; `frame` stays valid.
-  switch (action.kind) {
-    case StepAction::Kind::Next:
-      ++frame.pc;
-      break;
-    case StepAction::Kind::Jump:
-      SENT_ASSERT_MSG(action.target < code.ref_instrs.size(),
-                      "jump target out of range in " << code.name);
-      frame.pc = action.target;
-      break;
-    case StepAction::Kind::Return:
-      frame.pc = static_cast<std::uint32_t>(code.ref_instrs.size());
-      break;
-  }
-  return instr.cost;
-}
-
 bool Machine::step_once(std::uint32_t& delay) {
   // 1. Interrupt delivery wins over everything (Rule 2).
   if (int line = deliverable_irq(); line >= 0) {
@@ -395,9 +355,7 @@ bool Machine::step_once(std::uint32_t& delay) {
   if (!frames_.empty()) {
     Frame& frame = frames_.back();
     const CodeObject& code = program_.code(frame.code);
-    const std::uint32_t frame_end = static_cast<std::uint32_t>(
-        bytecode_ ? code.words.size() : code.ref_instrs.size());
-    if (frame.pc >= frame_end) {
+    if (frame.pc >= code.words.size()) {
       // Frame retired.
       if (frame.is_handler) {
         recorder_.on_reti(queue_.now(), frame.line);
@@ -410,8 +368,7 @@ bool Machine::step_once(std::uint32_t& delay) {
       }
       return true;
     }
-    delay = bytecode_ ? exec_bytecode(frame, code)
-                      : exec_reference(frame, code);
+    delay = exec_bytecode(frame, code);
     return true;
   }
 
@@ -421,9 +378,6 @@ bool Machine::step_once(std::uint32_t& delay) {
     auto [task, code_id] = provider_->pop_task();
     SENT_ASSERT_MSG(program_.code(code_id).is_task,
                     "task queue yielded a non-task code object");
-    SENT_ASSERT_MSG(program_.code(code_id).built_for == mode(),
-                    "task code object was built for a different dispatch "
-                    "mode than this machine");
     std::size_t run_idx = recorder_.on_run_task(queue_.now(), task);
     frames_.push_back(
         Frame{code_id, 0, /*is_handler=*/false, 0, run_idx});
@@ -444,12 +398,11 @@ void Machine::step() {
 
   // The continuation chain: while the event queue proves no other event
   // fires at or before this machine's next step, execute it here instead
-  // of round-tripping through the heap. This is the bytecode engine's main
-  // throughput lever (DESIGN.md §12); the reference engine always pays the
-  // original per-step heap traffic.
+  // of arming the lane and draining it. Together with the fused typed-op
+  // loop this is the simulator's main throughput lever (DESIGN.md §12).
   std::uint32_t delay = 0;
   while (step_once(delay)) {
-    if (bytecode_ && queue_.try_step_inline(queue_.now() + delay)) continue;
+    if (queue_.try_step_inline(queue_.now() + delay)) continue;
     schedule_step(delay);
     return;
   }

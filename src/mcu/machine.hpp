@@ -9,13 +9,14 @@
 //
 // Execution is driven by the shared discrete-event queue: each machine step
 // (deliver an interrupt, execute one instruction, start a task, retire a
-// frame) is one event, and its cycle cost delays the next step. On the
-// pooled engine a bytecode machine's steps ride its own step lane instead
-// of the general heap (DESIGN.md §12.4). Devices
-// raise interrupt lines asynchronously; a raised line is delivered at the
-// next step boundary if the preemption rule allows, otherwise it stays
-// pending. A sleeping machine (no frames, no runnable task) schedules
-// nothing and is woken by raise_irq / notify_task_posted.
+// frame) is one event, and its cycle cost delays the next step. A
+// machine's steps ride its own step lane instead of the general heap
+// (DESIGN.md §12.4), and runs of typed ops execute in place when the queue
+// proves nothing else fires first (DESIGN.md §12). Devices raise interrupt
+// lines asynchronously; a raised line is delivered at the next step
+// boundary if the preemption rule allows, otherwise it stays pending. A
+// sleeping machine (no frames, no runnable task) schedules nothing and is
+// woken by raise_irq / notify_task_posted.
 #pragma once
 
 #include <cstdint>
@@ -113,12 +114,6 @@ class Machine {
   }
   std::uint64_t irqs_dropped() const { return irqs_dropped_; }
 
-  /// Dispatch substrate this machine executes (sampled at construction).
-  sim::DispatchMode mode() const {
-    return bytecode_ ? sim::DispatchMode::Bytecode
-                     : sim::DispatchMode::Reference;
-  }
-
   /// Push the batched obs counters into the global registry. Called from
   /// the destructor; the dispatch loop itself only bumps plain integers
   /// (keeping the hot path branch-free, DESIGN.md §12).
@@ -127,9 +122,7 @@ class Machine {
  private:
   struct Frame {
     CodeId code;
-    /// Bytecode mode: word offset into CodeObject::words. Reference mode:
-    /// instruction index into CodeObject::ref_instrs.
-    std::uint32_t pc = 0;
+    std::uint32_t pc = 0;  ///< word offset into CodeObject::words
     bool is_handler = false;
     trace::IrqLine line = 0;          // handlers only
     std::size_t run_item_index = 0;   // tasks only: recorder patch handle
@@ -138,7 +131,6 @@ class Machine {
   sim::EventQueue& queue_;
   trace::Recorder& recorder_;
   const Program& program_;
-  const bool bytecode_;  // dispatch substrate, sampled at construction
   TaskProvider* provider_ = nullptr;
   NestingPolicy nesting_ = NestingPolicy::HigherPriority;
   MachineCosts costs_;
@@ -148,7 +140,7 @@ class Machine {
   std::vector<CodeId> handlers_ = std::vector<CodeId>(64, kNoHandler);
   bool step_scheduled_ = false;
   bool in_step_ = false;  // step() will schedule its own continuation
-  sim::LaneId lane_ = sim::kNoLane;  // step lane (bytecode on pooled engine)
+  const sim::LaneId lane_;  // this machine's step lane in queue_
   std::uint32_t atomic_depth_ = 0;
   std::uint64_t ints_delivered_ = 0;
   std::function<bool(trace::IrqLine)> irq_drop_hook_;
@@ -169,12 +161,11 @@ class Machine {
   void step();
   /// One machine step (deliver / execute / start / retire). Returns true
   /// with the cycle cost of the step in `delay` when a continuation is
-  /// due, false when the machine goes to sleep. step() either enqueues the
-  /// continuation or — bytecode mode, when the event queue proves nothing
-  /// else fires first — executes it inline without a heap round-trip.
+  /// due, false when the machine goes to sleep. step() either arms the
+  /// continuation in the lane or — when the event queue proves nothing
+  /// else fires first — executes it inline.
   bool step_once(std::uint32_t& delay);
   std::uint32_t exec_bytecode(Frame& frame, const CodeObject& code);
-  std::uint32_t exec_reference(Frame& frame, const CodeObject& code);
 
   /// Lowest-numbered pending line deliverable under the preemption rule,
   /// or -1 if none.

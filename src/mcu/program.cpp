@@ -33,16 +33,6 @@ Word pool_add(Vec& vec, T&& value) {
   return static_cast<Word>(vec.size() - 1);
 }
 
-bool cmp_u32(std::uint32_t lhs, Cmp cmp, std::uint32_t rhs) {
-  switch (cmp) {
-    case Cmp::Eq: return lhs == rhs;
-    case Cmp::Ne: return lhs != rhs;
-    case Cmp::Lt: return lhs < rhs;
-    case Cmp::Ge: return lhs >= rhs;
-  }
-  return false;
-}
-
 }  // namespace
 
 // ---- Program --------------------------------------------------------------
@@ -61,7 +51,6 @@ CodeId Program::add(CodeObject code, std::vector<std::string> instr_names) {
     const auto gid = static_cast<trace::InstrId>(instr_table_.size());
     Word* w = code.words.data() + i * kInstrWords;
     w[2] = gid;
-    if (!code.ref_instrs.empty()) code.ref_instrs[i].global_id = gid;
     instr_table_.push_back({code.name, std::move(instr_names[i]), w[1]});
   }
   by_name_.emplace(code.name, id);
@@ -309,7 +298,6 @@ std::uint32_t CodeBuilder::resolve_target(const Draft& d) const {
 }
 
 void CodeBuilder::emit_bytecode(CodeObject& code) {
-  const bool bytecode = code.built_for == sim::DispatchMode::Bytecode;
   const std::size_t n = drafts_.size();
   code.words.reserve(n * kInstrWords);
   for (Draft& d : drafts_) {
@@ -327,17 +315,15 @@ void CodeBuilder::emit_bytecode(CodeObject& code) {
       }
     }
     switch (op) {
-      // The closure pools are only populated on the bytecode path; in
-      // reference mode the same closures move into ref_instrs instead.
       case Op::kCallHost:
-        if (bytecode) a = pool_add(code.hosts, std::move(d.host));
+        a = pool_add(code.hosts, std::move(d.host));
         break;
       case Op::kHostAction:
-        if (bytecode) a = pool_add(code.actions, std::move(d.action));
+        a = pool_add(code.actions, std::move(d.action));
         break;
       case Op::kBranchIfHost:
       case Op::kRetIfHost:
-        if (bytecode) a = pool_add(code.preds, std::move(d.pred));
+        a = pool_add(code.preds, std::move(d.pred));
         break;
       case Op::kJump:
       case Op::kRet:
@@ -393,156 +379,13 @@ void CodeBuilder::emit_bytecode(CodeObject& code) {
   }
 }
 
-void CodeBuilder::emit_reference(CodeObject& code) {
-  // Materialize the pre-bytecode closure-per-instruction form. Typed ops
-  // lower to the same little lambdas applications used to write by hand,
-  // so behaviour (and therefore traces) matches the bytecode path exactly.
-  const std::uint32_t end = static_cast<std::uint32_t>(drafts_.size());
-  code.ref_instrs.reserve(drafts_.size());
-  for (Draft& d : drafts_) {
-    // Straight-line behaviour, if this draft has any.
-    std::function<void()> action;
-    // Predicate for conditional branch / conditional return drafts.
-    std::function<bool()> pred;
-    bool is_branch = false;  // taken pred/jump goes to `target`
-    bool is_ret_if = false;  // taken pred returns
-    std::uint32_t target = 0;
-    if (!d.label.empty()) target = resolve_target(d);
-
-    InstrFn fn;
-    switch (d.op) {
-      case Op::kCallHost:
-        fn = std::move(d.host);
-        break;
-      case Op::kHostAction:
-        action = std::move(d.action);
-        break;
-      case Op::kBranchIfHost:
-        pred = std::move(d.pred);
-        is_branch = true;
-        break;
-      case Op::kRetIfHost:
-        pred = std::move(d.pred);
-        is_ret_if = true;
-        break;
-      case Op::kJump:
-        fn = [target, end] {
-          return target >= end ? StepAction::ret() : StepAction::jump(target);
-        };
-        break;
-      case Op::kRet:
-        fn = [] { return StepAction::ret(); };
-        break;
-      case Op::kSetFlag:
-        action = [p = d.flag, v = d.imm != 0] { *p = v; };
-        break;
-      case Op::kBranchIfFlag:
-        pred = [p = d.flag, v = d.imm != 0] { return *p == v; };
-        is_branch = true;
-        break;
-      case Op::kRetIfFlag:
-        pred = [p = d.flag, v = d.imm != 0] { return *p == v; };
-        is_ret_if = true;
-        break;
-      case Op::kAddU32:
-        action = [p = d.u32, delta = d.imm] { *p += delta; };
-        break;
-      case Op::kSetU32:
-        action = [p = d.u32, v = d.imm] { *p = v; };
-        break;
-      case Op::kAddU64:
-        action = [p = d.u64, delta = d.imm] { *p += delta; };
-        break;
-      case Op::kAddU16:
-        action = [p = d.u16, delta = d.imm] {
-          *p = static_cast<std::uint16_t>(*p + delta);
-        };
-        break;
-      case Op::kMovU16:
-        action = [dst = d.u16, src = d.u16b] { *dst = *src; };
-        break;
-      case Op::kClearLsbU16:
-        action = [p = d.u16] {
-          *p = static_cast<std::uint16_t>(*p & (*p - 1));
-        };
-        break;
-      case Op::kBranchIfU32Eq:
-      case Op::kBranchIfU32Ne:
-      case Op::kBranchIfU32Lt:
-      case Op::kBranchIfU32Ge:
-      case Op::kRetIfU32Eq:
-      case Op::kRetIfU32Ne:
-      case Op::kRetIfU32Lt:
-      case Op::kRetIfU32Ge: {
-        Cmp cmp;
-        switch (d.op) {
-          case Op::kBranchIfU32Eq:
-          case Op::kRetIfU32Eq: cmp = Cmp::Eq; break;
-          case Op::kBranchIfU32Ne:
-          case Op::kRetIfU32Ne: cmp = Cmp::Ne; break;
-          case Op::kBranchIfU32Lt:
-          case Op::kRetIfU32Lt: cmp = Cmp::Lt; break;
-          default: cmp = Cmp::Ge; break;
-        }
-        pred = [p = d.u32, cmp, imm = d.imm] { return cmp_u32(*p, cmp, imm); };
-        is_branch = d.op == Op::kBranchIfU32Eq || d.op == Op::kBranchIfU32Ne ||
-                    d.op == Op::kBranchIfU32Lt || d.op == Op::kBranchIfU32Ge;
-        is_ret_if = !is_branch;
-        break;
-      }
-      case Op::kBranchIfU16Eq:
-      case Op::kRetIfU16Eq:
-        pred = [p = d.u16, imm = d.imm] { return *p == imm; };
-        is_branch = d.op == Op::kBranchIfU16Eq;
-        is_ret_if = !is_branch;
-        break;
-      case Op::kBranchIfU16Ne:
-      case Op::kRetIfU16Ne:
-        pred = [p = d.u16, imm = d.imm] { return *p != imm; };
-        is_branch = d.op == Op::kBranchIfU16Ne;
-        is_ret_if = !is_branch;
-        break;
-      case Op::kBranchIfU32GeMem:
-      case Op::kRetIfU32GeMem:
-        pred = [l = d.u32, r = d.u32b] { return *l >= *r; };
-        is_branch = d.op == Op::kBranchIfU32GeMem;
-        is_ret_if = !is_branch;
-        break;
-    }
-
-    if (action) {
-      fn = [f = std::move(action)] {
-        f();
-        return StepAction::next();
-      };
-    } else if (is_branch) {
-      fn = [p = std::move(pred), target, end] {
-        if (!p()) return StepAction::next();
-        return target >= end ? StepAction::ret() : StepAction::jump(target);
-      };
-    } else if (is_ret_if) {
-      fn = [p = std::move(pred)] {
-        return p() ? StepAction::ret() : StepAction::next();
-      };
-    }
-    SENT_ASSERT(fn != nullptr);
-    code.ref_instrs.push_back(Instr{d.cost, std::move(fn), 0});
-  }
-}
-
 CodeId CodeBuilder::build(Program& program) {
   SENT_REQUIRE_MSG(!built_, "CodeBuilder::build called twice");
   built_ = true;
   CodeObject code;
   code.name = name_;  // keep name_ for resolve_target error messages
   code.is_task = is_task_;
-  code.built_for = sim::dispatch_mode();
-  if (code.built_for == sim::DispatchMode::Reference) {
-    emit_reference(code);  // consumes the closures
-    emit_bytecode(code);   // metadata words only
-  } else {
-    emit_bytecode(code);
-  }
+  emit_bytecode(code);
   std::vector<std::string> names;
   names.reserve(drafts_.size());
   for (Draft& d : drafts_) names.push_back(std::move(d.name));

@@ -15,10 +15,7 @@
 // compares — are dedicated typed ops that read and write application state
 // through operand pools of raw pointers; arbitrary C++ closures survive
 // behind the host-call escape hatch (Op::kCallHost and friends), which is
-// what CodeBuilder's generic instr/branch_if/ret_if lower to. The
-// pre-bytecode closure representation (ref_instrs) is still materialized
-// when the process runs in DispatchMode::Reference, so the parity suite can
-// pin the two paths against each other.
+// what CodeBuilder's generic instr/branch_if/ret_if lower to.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +26,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "sim/dispatch.hpp"
 #include "trace/recorder.hpp"
 #include "util/assert.hpp"
 
@@ -97,8 +93,7 @@ enum class Op : Word {
   kRetIfU32GeMem,     ///< return when *u32s[a] >= *u32s[b]
 };
 
-/// What the machine should do after executing an instruction (host-call
-/// protocol, and the whole story of the reference closure path).
+/// What the machine should do after a host-call instruction (Op::kCallHost).
 struct StepAction {
   enum class Kind : std::uint8_t { Next, Jump, Return };
   Kind kind = Kind::Next;
@@ -109,41 +104,24 @@ struct StepAction {
   static StepAction ret() { return {Kind::Return, 0}; }
 };
 
-/// Behaviour of one virtual instruction on the reference (closure) path.
+/// Behaviour of one host-call instruction: the closure decides the step.
 using InstrFn = std::function<StepAction()>;
-
-/// Reference-path instruction: a closure per instruction, as the simulator
-/// worked before the bytecode core. Materialized only when built under
-/// DispatchMode::Reference.
-struct Instr {
-  std::uint32_t cost;        ///< cycles charged per execution
-  InstrFn fn;                ///< behaviour; never null
-  trace::InstrId global_id;  ///< index into the program instruction table
-};
 
 struct CodeObject {
   std::string name;      ///< e.g. "Read.readDone" or "prepareAndSendPacket"
   bool is_task = false;  ///< task (posted/run) vs interrupt handler
 
-  /// Dispatch mode this object was built for; the machine refuses to run a
-  /// mismatched object (the mode must not change between build and run).
-  sim::DispatchMode built_for = sim::DispatchMode::Bytecode;
-
-  /// Bytecode, kInstrWords words per instruction (always emitted; carries
-  /// cost and global_id metadata even on the reference path).
+  /// Bytecode, kInstrWords words per instruction.
   std::vector<Word> words;
 
-  // Operand pools, indexed by the a/b words (bytecode mode only).
-  std::vector<std::function<StepAction()>> hosts;
+  // Operand pools, indexed by the a/b words.
+  std::vector<InstrFn> hosts;
   std::vector<std::function<void()>> actions;
   std::vector<std::function<bool()>> preds;
   std::vector<bool*> flags;
   std::vector<std::uint32_t*> u32s;
   std::vector<std::uint16_t*> u16s;
   std::vector<std::uint64_t*> u64s;
-
-  /// Closure-per-instruction representation (reference mode only).
-  std::vector<Instr> ref_instrs;
 
   std::size_t instr_count() const { return words.size() / kInstrWords; }
 };
@@ -298,9 +276,8 @@ class CodeBuilder {
   /// referenced before or after its definition.
   CodeBuilder& label(std::string label);
 
-  /// Resolve labels, emit bytecode (and reference closures when the
-  /// process runs in DispatchMode::Reference) and register with the
-  /// program. The builder is consumed.
+  /// Resolve labels, emit bytecode and register with the program. The
+  /// builder is consumed.
   CodeId build(Program& program);
 
  private:
@@ -327,7 +304,6 @@ class CodeBuilder {
 
   Draft& push(std::string name, std::uint32_t cost, Op op);
   void emit_bytecode(CodeObject& code);
-  void emit_reference(CodeObject& code);
   /// Resolved target instruction index for draft i, or instr count when
   /// the draft is not a branch. Throws on undefined labels.
   std::uint32_t resolve_target(const Draft& d) const;

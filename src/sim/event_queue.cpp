@@ -29,6 +29,8 @@ struct Metrics {
   obs::Counter lane_steps = obs::Registry::global().counter("sim.lane_steps");
   obs::Counter inline_steps =
       obs::Registry::global().counter("sim.inline_steps");
+  obs::Counter fused_steps =
+      obs::Registry::global().counter("sim.fused_steps");
   obs::Gauge queue_hwm = obs::Registry::global().gauge("sim.queue_hwm");
   obs::Phase run_until{"sim.run_until"};
 
@@ -48,16 +50,13 @@ constexpr std::uint32_t gen_of(EventId id) {
 
 }  // namespace
 
-EventQueue::EventQueue(DispatchMode mode)
-    : boxed_(mode == DispatchMode::Reference) {}
-
 EventQueue::~EventQueue() { flush_metrics(); }
 
 void EventQueue::flush_metrics() {
   if (pending_scheduled_ == 0 && pending_executed_ == 0 &&
       pending_cancelled_ == 0 && pending_heap_pushes_ == 0 &&
       pending_lane_steps_ == 0 && pending_inline_steps_ == 0 &&
-      queue_hwm_ == 0) {
+      pending_fused_steps_ == 0 && queue_hwm_ == 0) {
     return;
   }
   const Metrics& m = Metrics::get();
@@ -67,9 +66,11 @@ void EventQueue::flush_metrics() {
   if (pending_heap_pushes_ != 0) m.heap_pushes.inc(pending_heap_pushes_);
   if (pending_lane_steps_ != 0) m.lane_steps.inc(pending_lane_steps_);
   if (pending_inline_steps_ != 0) m.inline_steps.inc(pending_inline_steps_);
+  if (pending_fused_steps_ != 0) m.fused_steps.inc(pending_fused_steps_);
   if (queue_hwm_ != 0) m.queue_hwm.record(queue_hwm_);
   pending_scheduled_ = pending_executed_ = pending_cancelled_ = 0;
   pending_heap_pushes_ = pending_lane_steps_ = pending_inline_steps_ = 0;
+  pending_fused_steps_ = 0;
   queue_hwm_ = 0;
 }
 
@@ -77,15 +78,12 @@ void EventQueue::reset() {
   SENT_REQUIRE_MSG(event_depth_ == 0 && drain_depth_ == 0,
                    "EventQueue::reset inside an event or drain");
   flush_metrics();  // a reset ends the run, same as destruction
-  // Drain the heaps with pop loops so their underlying vectors keep their
+  // Drain the heap with a pop loop so its underlying vector keeps its
   // capacity; destroying the Slot table releases every pending closure.
   while (!pool_heap_.empty()) pool_heap_.pop();
-  while (!boxed_heap_.empty()) boxed_heap_.pop();
   slots_.clear();  // capacity retained: the slab regrows 0,1,2,... like new
   free_slots_.clear();
   next_seq_ = 1;
-  cancelled_.clear();
-  next_boxed_id_ = 1;
   for (LaneId lane = 0; lane < lane_cap_; ++lane)
     lane_tree_[lane_cap_ + lane] = LaneKey{kMaxCycle, kDisarmedSeq, lane};
   rebuild_lane_tree();
@@ -137,20 +135,9 @@ EventId EventQueue::schedule_pooled(Cycle at, EventFn fn) {
   return (static_cast<EventId>(slot) << 32) | slots_[slot].gen;
 }
 
-EventId EventQueue::schedule_boxed(Cycle at, std::function<void()> fn) {
-  SENT_REQUIRE_MSG(at >= now_, "cannot schedule in the past: at=" << at
-                                                                  << " now=" << now_);
-  SENT_REQUIRE(fn != nullptr);
-  EventId id = next_boxed_id_++;
-  boxed_heap_.push(BoxedEntry{at, id, std::move(fn)});
-  on_scheduled();
-  return id;
-}
-
 // ---- step lanes -----------------------------------------------------------
 
 LaneId EventQueue::open_lane(LaneFn fire, void* owner) {
-  SENT_REQUIRE_MSG(!boxed_, "step lanes belong to the pooled engine");
   SENT_REQUIRE(fire != nullptr);
   LaneId lane;
   if (!free_lanes_.empty()) {
@@ -212,37 +199,16 @@ void EventQueue::rebuild_lane_tree() {
 // ---- cancellation ---------------------------------------------------------
 
 bool EventQueue::cancel(EventId id) {
-  if (!boxed_) {
-    const std::uint32_t slot = slot_of(id);
-    const std::uint32_t gen = gen_of(id);
-    if (gen == 0 || slot >= slots_.size()) return false;
-    Slot& s = slots_[slot];
-    if (!s.live || s.gen != gen || s.cancelled) return false;
-    s.cancelled = true;
-    s.fn.reset();  // release the capture now; the heap entry is skipped later
-    --live_;
-    ++pending_cancelled_;
-    return true;
-  }
-  if (id == 0 || id >= next_boxed_id_) return false;
-  if (is_cancelled_boxed(id)) return false;
-  // We cannot remove from the heap; mark and skip at pop time. We cannot
-  // tell fired from unknown ids cheaply, so conservatively record the mark;
-  // it is purged when (or if) the entry surfaces.
-  cancelled_.push_back(id);
-  if (live_ > 0) --live_;
+  const std::uint32_t slot = slot_of(id);
+  const std::uint32_t gen = gen_of(id);
+  if (gen == 0 || slot >= slots_.size()) return false;
+  Slot& s = slots_[slot];
+  if (!s.live || s.gen != gen || s.cancelled) return false;
+  s.cancelled = true;
+  s.fn.reset();  // release the capture now; the heap entry is skipped later
+  --live_;
   ++pending_cancelled_;
   return true;
-}
-
-bool EventQueue::is_cancelled_boxed(EventId id) const {
-  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
-         cancelled_.end();
-}
-
-void EventQueue::forget_cancelled_boxed(EventId id) {
-  auto it = std::find(cancelled_.begin(), cancelled_.end(), id);
-  if (it != cancelled_.end()) cancelled_.erase(it);
 }
 
 void EventQueue::release_slot(std::uint32_t slot) {
@@ -398,41 +364,9 @@ void EventQueue::spill_deferred() {
   deferred_.clear();
 }
 
-bool EventQueue::step_boxed() {
-  while (!boxed_heap_.empty()) {
-    if (is_cancelled_boxed(boxed_heap_.top().id)) {
-      forget_cancelled_boxed(boxed_heap_.top().id);
-      boxed_heap_.pop();
-      continue;
-    }
-    check_watchdog();
-    BoxedEntry e = boxed_heap_.top();
-    boxed_heap_.pop();
-    SENT_ASSERT(e.at >= now_);
-    now_ = e.at;
-    --live_;
-    ++executed_;
-    ++pending_executed_;
-    e.fn();
-    return true;
-  }
-  return false;
-}
-
-bool EventQueue::step() {
-  return boxed_ ? step_boxed() : step_pooled(kMaxCycle);
-}
+bool EventQueue::step() { return step_pooled(kMaxCycle); }
 
 bool EventQueue::peek_next(Cycle& at) {
-  if (boxed_) {
-    while (!boxed_heap_.empty() && is_cancelled_boxed(boxed_heap_.top().id)) {
-      forget_cancelled_boxed(boxed_heap_.top().id);
-      boxed_heap_.pop();
-    }
-    if (boxed_heap_.empty()) return false;
-    at = boxed_heap_.top().at;
-    return true;
-  }
   prune_heap();
   if (pool_heap_.empty()) {
     at = next_lane_.at;
@@ -443,7 +377,7 @@ bool EventQueue::peek_next(Cycle& at) {
 }
 
 bool EventQueue::inline_allowance(InlineAllowance& a) {
-  if (drain_depth_ == 0 || boxed_ || !deferred_.empty()) return false;
+  if (drain_depth_ == 0 || !deferred_.empty()) return false;
   a.horizon = horizon_;
   a.next_event = kMaxCycle;
   peek_next(a.next_event);
@@ -457,13 +391,8 @@ bool EventQueue::inline_allowance(InlineAllowance& a) {
 }
 
 bool EventQueue::try_step_inline_slow(Cycle at) {
-  // A budget-exhausted machine must put its continuation back on the heap
-  // so the next drain iteration trips check_watchdog with the event still
-  // queued — the same observable state the heap path leaves behind.
-  if (watchdog_budget_ != 0 &&
-      executed_ - watchdog_armed_at_ >= watchdog_budget_) {
-    return false;
-  }
+  // try_step_inline already checked the watchdog; only the cancelled heap
+  // head is left to prune before the next live event is known.
   Cycle next = 0;
   if (peek_next(next) && next <= at) return false;
   SENT_ASSERT(at >= now_);
@@ -494,11 +423,6 @@ struct DrainScope {
 void EventQueue::run_until(Cycle until) {
   obs::Span span(Metrics::get().run_until);
   DrainScope scope(*this, until);
-  if (boxed_) {
-    Cycle at = 0;
-    while (peek_next(at) && at <= until) step_boxed();
-    return;
-  }
   while (step_pooled(until)) {
   }
 }

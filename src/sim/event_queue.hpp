@@ -4,31 +4,23 @@
 // simulation. Events at equal timestamps fire in scheduling (FIFO) order,
 // which keeps multi-node runs fully deterministic.
 //
-// Two engines implement the same contract (DESIGN.md §12):
-//
-//   Pooled — the production engine: closures live in a slab of reusable
-//     slots (EventFn, inline storage: no allocation per event), the heap
-//     orders 24-byte POD entries, and cancellation flips a flag on the
-//     generation-tagged slot in O(1). Each machine steps through its own
-//     fixed lane beside the heap (DESIGN.md §12.4): a step is an (at, seq)
-//     pair written into the lane, and the drain fires whichever of the
-//     heap head and the earliest armed lane is first in (at, seq) order.
-//   Boxed  — the pre-bytecode reference engine, kept for parity testing:
-//     a binary heap of std::function entries with a linear-scan cancelled
-//     list, reproducing the original cost profile exactly.
-//
-// The engine is chosen at construction from sim::dispatch_mode(); both fire
-// events in exactly the same order, so traces are bit-identical across
-// engines.
+// The engine is pooled (DESIGN.md §12): closures live in a slab of
+// reusable slots (EventFn, inline storage: no allocation per event), the
+// heap orders 24-byte POD entries, and cancellation flips a flag on the
+// generation-tagged slot in O(1). Each machine steps through its own fixed
+// lane beside the heap (DESIGN.md §12.4): a step is an (at, seq) pair
+// written into the lane, and the drain fires whichever of the heap head
+// and the earliest armed lane is first in (at, seq) order. Its firing
+// order is pinned by the simulator digest fixture
+// (tests/golden/sim_digests.txt).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
-#include "sim/dispatch.hpp"
 #include "sim/event_fn.hpp"
 #include "sim/time.hpp"
 #include "util/assert.hpp"
@@ -36,8 +28,8 @@
 namespace sent::sim {
 
 /// Handle identifying a scheduled event, usable for cancellation. Never 0,
-/// so 0 works as a "nothing pending" sentinel. Pooled ids encode
-/// (slot, generation); boxed ids are the original monotonic sequence.
+/// so 0 works as a "nothing pending" sentinel. Ids encode (slot,
+/// generation).
 using EventId = std::uint64_t;
 
 /// Thrown by step()/run_until() when the watchdog budget is exhausted: a
@@ -68,7 +60,7 @@ class WatchdogTimeout : public std::runtime_error {
   std::uint64_t events_executed_ = 0;
 };
 
-/// Index of a step lane (pooled engine, DESIGN.md §12.4).
+/// Index of a step lane (DESIGN.md §12.4).
 using LaneId = std::uint32_t;
 inline constexpr LaneId kNoLane = ~LaneId{0};
 
@@ -85,10 +77,7 @@ struct InlineAllowance {
 
 class EventQueue {
  public:
-  /// Engine follows the process-wide dispatch mode.
-  EventQueue() : EventQueue(dispatch_mode()) {}
-  /// Pin the engine explicitly (engine-equivalence tests).
-  explicit EventQueue(DispatchMode mode);
+  EventQueue() = default;
   ~EventQueue();
 
   EventQueue(const EventQueue&) = delete;
@@ -101,8 +90,6 @@ class EventQueue {
   /// can be passed to cancel().
   template <typename F>
   EventId schedule_at(Cycle at, F&& fn) {
-    if (boxed_)
-      return schedule_boxed(at, std::function<void()>(std::forward<F>(fn)));
     return schedule_pooled(at, EventFn(std::forward<F>(fn)));
   }
 
@@ -125,11 +112,11 @@ class EventQueue {
   /// Run a single event. Returns false if the queue is empty.
   bool step();
 
-  /// Step lanes (pooled engine only, DESIGN.md §12.4). A lane holds at
-  /// most one pending step of its owner as a bare (at, seq) pair: arming
-  /// it allocates no slot, builds no closure and leaves the heap alone.
-  /// The drain fires a lane by calling fire(owner). An armed lane counts
-  /// as one live, scheduled event, exactly like a heap entry.
+  /// Step lanes (DESIGN.md §12.4). A lane holds at most one pending step
+  /// of its owner as a bare (at, seq) pair: arming it allocates no slot,
+  /// builds no closure and leaves the heap alone. The drain fires a lane
+  /// by calling fire(owner). An armed lane counts as one live, scheduled
+  /// event, exactly like a heap entry.
   using LaneFn = void (*)(void* owner);
   LaneId open_lane(LaneFn fire, void* owner);
   /// Retire a lane; a step still armed in it is dropped unrun.
@@ -168,7 +155,9 @@ class EventQueue {
     // A parked wake-up (schedule_or_inline) may precede this continuation
     // in FIFO order but is not in the heap yet; refuse until it flushes.
     if (!deferred_.empty()) return false;
-    if (boxed_) return try_step_inline_slow(at);
+    // A budget-exhausted machine leaves its continuation armed in its lane,
+    // so the next drain iteration trips check_watchdog with the step still
+    // pending — the same state a queued event leaves behind.
     if (watchdog_budget_ != 0 &&
         executed_ - watchdog_armed_at_ >= watchdog_budget_) {
       return false;
@@ -192,7 +181,7 @@ class EventQueue {
   }
 
   /// Device continuation path (DESIGN.md §12.4): schedule `fn` at `at`,
-  /// but when called from inside a pooled event's closure, park it in a
+  /// but when called from inside an event's closure, park it in a
   /// deferred list instead of the heap. After the closure finishes, the
   /// entry runs inline if that is observationally identical to draining
   /// it from the heap, and is enqueued otherwise. The entry reserves its
@@ -203,7 +192,7 @@ class EventQueue {
   /// Machine steps and wake-ups use their lane instead.
   template <typename F>
   void schedule_or_inline(Cycle at, F&& fn) {
-    if (boxed_ || event_depth_ == 0) {
+    if (event_depth_ == 0) {
       schedule_at(at, std::forward<F>(fn));
       return;
     }
@@ -214,9 +203,9 @@ class EventQueue {
   /// Batch variant of try_step_inline for the bytecode machine's fused
   /// typed-op loop: fills `a` with the window in which steps may run
   /// inline without consulting the queue again. False when inlining is
-  /// impossible (not draining, or the boxed engine). The allowance is
-  /// invalidated by ANY queue operation — the caller must hold it only
-  /// across steps that touch no queue state.
+  /// impossible (not draining, or a deferred entry is parked). The
+  /// allowance is invalidated by ANY queue operation — the caller must
+  /// hold it only across steps that touch no queue state.
   bool inline_allowance(InlineAllowance& a);
 
   /// Settle a fused run: clock at `now`, `steps` events executed. Each
@@ -227,6 +216,7 @@ class EventQueue {
     pending_scheduled_ += steps;
     pending_executed_ += steps;
     pending_inline_steps_ += steps;
+    pending_fused_steps_ += steps;
   }
 
   /// Run events until the queue is empty or virtual time would exceed
@@ -245,9 +235,8 @@ class EventQueue {
   /// Total events executed (for perf benches).
   std::uint64_t executed() const { return executed_; }
 
-  /// How many deferred wake-ups ran in place vs. spilled to the heap
-  /// (bytecode engine only; both stay 0 on the reference engine). The sum
-  /// is the number of schedule_or_inline calls made from inside pooled
+  /// How many deferred wake-ups ran in place vs. spilled to the heap. The
+  /// sum is the number of schedule_or_inline calls made from inside event
   /// closures.
   std::uint64_t deferred_inlined() const { return deferred_inlined_; }
   std::uint64_t deferred_spilled() const { return deferred_spilled_; }
@@ -259,16 +248,12 @@ class EventQueue {
   void set_watchdog_budget(std::uint64_t budget);
   std::uint64_t watchdog_budget() const { return watchdog_budget_; }
 
-  /// Engine this queue was constructed with.
-  DispatchMode engine() const {
-    return boxed_ ? DispatchMode::Reference : DispatchMode::Bytecode;
-  }
-
   /// Push the batched obs counters into the global registry. Called from
   /// the destructor; the dispatch loop itself only bumps plain integers
   /// (keeping the hot path branch-free, DESIGN.md §12). Besides the event
-  /// totals, the pooled engine counts its queue traffic: heap pushes,
-  /// lane steps, and steps run in place (fused, inline or deferred).
+  /// totals, the queue counts its traffic: heap pushes, lane steps, steps
+  /// run in place (fused, inline or deferred) and, among those, the steps
+  /// the machine's fused typed-op loop committed.
   void flush_metrics();
 
   /// Scrub the queue back to its just-constructed logical state while
@@ -288,8 +273,6 @@ class EventQueue {
   void reset();
 
  private:
-  // ---- pooled engine -----------------------------------------------------
-
   /// Heap entry: plain data, ordered by (at, seq). seq is a monotonic
   /// scheduling sequence, giving FIFO among equal timestamps.
   struct PoolEntry {
@@ -310,18 +293,6 @@ class EventQueue {
     bool live = false;
     bool cancelled = false;
     EventFn fn;
-  };
-
-  // ---- boxed (reference) engine -----------------------------------------
-
-  struct BoxedEntry {
-    Cycle at;
-    EventId id;
-    std::function<void()> fn;
-    bool operator>(const BoxedEntry& o) const {
-      if (at != o.at) return at > o.at;
-      return id > o.id;  // FIFO among equal timestamps
-    }
   };
 
   /// A continuation parked by schedule_or_inline until the current event's
@@ -349,8 +320,8 @@ class EventQueue {
   };
 
   EventId schedule_pooled(Cycle at, EventFn fn);
-  EventId schedule_boxed(Cycle at, std::function<void()> fn);
   std::uint32_t alloc_slot(EventFn fn);
+  /// try_step_inline when the heap head is cancelled: prune, then decide.
   bool try_step_inline_slow(Cycle at);
   /// Inline admission for a deferred entry with a reserved seq: pending
   /// events that fire earlier — or at the same cycle with an earlier seq —
@@ -362,19 +333,18 @@ class EventQueue {
   void flush_deferred();
   /// Exception path: spill all deferred entries to the heap.
   void spill_deferred();
-  /// The pooled drain loop's body: prune cancelled heap heads, then fire
+  /// The drain loop's body: prune cancelled heap heads, then fire
   /// whichever of the heap head and the earliest armed lane is first in
   /// (at, seq) order, if it is due by `until`.
   bool step_pooled(Cycle until);
-  /// Drop cancelled entries at the pooled heap's head.
+  /// Drop cancelled entries at the heap's head.
   void prune_heap();
-  /// Fire the earliest armed lane (the pooled drain decided it is next).
+  /// Fire the earliest armed lane (the drain decided it is next).
   void fire_lane();
   /// Disarm `lane` and replay its path of the tournament tree.
   void disarm_lane(LaneId lane);
   /// Recompute every inner node of the tournament tree from the leaves.
   void rebuild_lane_tree();
-  bool step_boxed();
   /// Drop cancelled entries at the head; report the next live fire time
   /// of the heap and the lanes.
   bool peek_next(Cycle& at);
@@ -382,21 +352,11 @@ class EventQueue {
   void check_watchdog();
   void on_scheduled();
 
-  bool is_cancelled_boxed(EventId id) const;
-  void forget_cancelled_boxed(EventId id);
-
-  const bool boxed_;
-
   std::priority_queue<PoolEntry, std::vector<PoolEntry>, std::greater<>>
       pool_heap_;
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
-
-  std::priority_queue<BoxedEntry, std::vector<BoxedEntry>, std::greater<>>
-      boxed_heap_;
-  std::vector<EventId> cancelled_;  // boxed engine: linear scan (retained)
-  EventId next_boxed_id_ = 1;
 
   friend struct DrainScope;
 
@@ -410,8 +370,8 @@ class EventQueue {
   std::vector<LaneId> free_lanes_;
   LaneKey next_lane_;  // the root's key: earliest armed lane, if any
 
-  std::vector<Deferred> deferred_;  // non-empty only inside a pooled fn()
-  std::uint32_t event_depth_ = 0;   // pooled closures currently on the stack
+  std::vector<Deferred> deferred_;  // non-empty only inside an event's fn()
+  std::uint32_t event_depth_ = 0;   // event closures currently on the stack
   std::uint64_t deferred_inlined_ = 0, deferred_spilled_ = 0;
 
   Cycle now_ = 0;
@@ -429,6 +389,7 @@ class EventQueue {
   std::uint64_t pending_heap_pushes_ = 0;
   std::uint64_t pending_lane_steps_ = 0;
   std::uint64_t pending_inline_steps_ = 0;
+  std::uint64_t pending_fused_steps_ = 0;
   std::uint64_t queue_hwm_ = 0;
 };
 

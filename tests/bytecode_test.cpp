@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "os/node.hpp"
-#include "sim/dispatch.hpp"
 #include "util/assert.hpp"
 
 namespace sent::mcu {
@@ -17,15 +16,6 @@ namespace {
 using os::Node;
 using trace::NodeTrace;
 
-/// Pin the process-wide dispatch mode for one test, restoring on exit.
-struct ModeGuard {
-  explicit ModeGuard(sim::DispatchMode mode) : saved(sim::dispatch_mode()) {
-    sim::set_dispatch_mode(mode);
-  }
-  ~ModeGuard() { sim::set_dispatch_mode(saved); }
-  sim::DispatchMode saved;
-};
-
 std::vector<std::string> executed_names(const NodeTrace& t) {
   std::vector<std::string> names;
   for (const auto& e : t.instrs) names.push_back(t.instr_table[e.instr].name);
@@ -33,9 +23,6 @@ std::vector<std::string> executed_names(const NodeTrace& t) {
 }
 
 struct Harness {
-  explicit Harness(sim::DispatchMode mode = sim::DispatchMode::Bytecode)
-      : guard(mode) {}
-  ModeGuard guard;
   sim::EventQueue q;
   Node node{0, q};
 
@@ -293,21 +280,6 @@ TEST(BytecodeOps, UnresolvedLabelThrowsForTypedBranches) {
   }
 }
 
-// A code object built for one substrate must not run on the other: the
-// machine samples the mode at registration.
-TEST(BytecodeOps, ModeMismatchRefusedAtRegistration) {
-  ModeGuard outer(sim::DispatchMode::Bytecode);
-  sim::EventQueue q;
-  Node node{0, q};
-  sim::set_dispatch_mode(sim::DispatchMode::Reference);
-  CodeBuilder b("h", false);
-  b.instr("a", [] {});
-  CodeId id = b.build(node.program());
-  sim::set_dispatch_mode(sim::DispatchMode::Bytecode);
-  EXPECT_THROW(node.machine().register_handler(5, id),
-               util::PreconditionError);
-}
-
 // ------------------------------------------------- typed-vs-host parity
 
 // The same logic written with typed ops and with host closures must leave
@@ -357,27 +329,6 @@ TEST(BytecodeOps, TypedAndHostFormsTraceIdentically) {
     EXPECT_EQ(typed.instr_table[typed.instrs[i].instr].name,
               host.instr_table[host.instrs[i].instr].name);
   }
-}
-
-// The whole battery again on the reference substrate: the closure path must
-// execute typed builder ops with identical semantics.
-TEST(BytecodeOps, TypedOpsRunOnReferenceSubstrate) {
-  Harness h(sim::DispatchMode::Reference);
-  std::uint16_t v = 0b0110;
-  std::uint32_t iters = 0;
-  bool flag = false;
-  CodeBuilder b("h", false);
-  b.set_flag("set", flag, true)
-      .label("top")
-      .branch_if_u16("done", v, Cmp::Eq, 0, "out")
-      .clear_lsb_u16("step", v)
-      .add_u32("count", iters, 1)
-      .jump("loop", "top")
-      .label("out");
-  h.run(b);
-  EXPECT_TRUE(flag);
-  EXPECT_EQ(v, 0u);
-  EXPECT_EQ(iters, 2u);
 }
 
 }  // namespace

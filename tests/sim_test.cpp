@@ -228,59 +228,53 @@ TEST(Watchdog, QueueUsableAfterTimeout) {
 }
 
 
-// ------------------------------------------------- engine equivalence
+// ------------------------------------------------- engine contract
 
-// Both engines must fire the same script in the same order — the whole
-// parity story rests on this (DESIGN.md §12).
+// The engine fires a script in (at, FIFO) order with cancelled events
+// skipped. The expected order is written out; it is the order the retired
+// std::function heap produced (DESIGN.md §12).
 TEST(EngineParity, PooledAndBoxedFireInSameOrder) {
-  auto script = [](EventQueue& q, std::vector<int>& order) {
-    for (int i = 0; i < 4; ++i)
-      q.schedule_at(100, [&order, i] { order.push_back(i); });
-    q.schedule_at(50, [&] {
-      order.push_back(50);
-      q.schedule_after(50, [&] { order.push_back(-100); });  // ties at 100
-    });
-    EventId dead = q.schedule_at(75, [&] { order.push_back(75); });
-    q.cancel(dead);
-    q.run_all();
-  };
-  EventQueue pooled(DispatchMode::Bytecode);
-  EventQueue boxed(DispatchMode::Reference);
-  std::vector<int> a, b;
-  script(pooled, a);
-  script(boxed, b);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(a, (std::vector<int>{50, 0, 1, 2, 3, -100}));
+  EventQueue q;
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i)
+    q.schedule_at(100, [&order, i] { order.push_back(i); });
+  q.schedule_at(50, [&] {
+    order.push_back(50);
+    q.schedule_after(50, [&] { order.push_back(-100); });  // ties at 100
+  });
+  EventId dead = q.schedule_at(75, [&] { order.push_back(75); });
+  q.cancel(dead);
+  q.run_all();
+  EXPECT_EQ(order, (std::vector<int>{50, 0, 1, 2, 3, -100}));
 }
 
 // Cancel-heavy churn: the pooled engine recycles slots and drops cancelled
 // entries lazily at the heap head; a long alternating schedule/cancel
-// workload must execute exactly the survivors, in order, on both engines.
+// workload must execute exactly the survivors, in order.
 // (Regression for the O(1) generation-tagged cancel path.)
 TEST(EngineParity, CancelHeavyChurn) {
-  for (DispatchMode mode : {DispatchMode::Bytecode, DispatchMode::Reference}) {
-    EventQueue q(mode);
-    std::vector<int> fired;
-    std::vector<EventId> ids;
-    constexpr int kN = 20000;
-    for (int i = 0; i < kN; ++i)
-      ids.push_back(q.schedule_at(10 + static_cast<Cycle>(i % 997), [&, i] {
-        fired.push_back(i);
-      }));
-    // Cancel every odd event, plus re-cancel some (stale ids must no-op).
-    for (int i = 1; i < kN; i += 2) EXPECT_TRUE(q.cancel(ids[i]));
-    for (int i = 1; i < kN; i += 4) EXPECT_FALSE(q.cancel(ids[i]));
-    EXPECT_EQ(q.size(), static_cast<std::size_t>(kN / 2));
-    q.run_all();
-    ASSERT_EQ(fired.size(), static_cast<std::size_t>(kN / 2));
-    // Survivors fire ordered by (at, scheduling order).
-    for (std::size_t k = 1; k < fired.size(); ++k) {
-      Cycle ta = 10 + static_cast<Cycle>(fired[k - 1] % 997);
-      Cycle tb = 10 + static_cast<Cycle>(fired[k] % 997);
-      ASSERT_LE(ta, tb);
-      if (ta == tb) {
-        ASSERT_LT(fired[k - 1], fired[k]);
-      }
+  EventQueue q;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  constexpr int kN = 20000;
+  for (int i = 0; i < kN; ++i)
+    ids.push_back(q.schedule_at(10 + static_cast<Cycle>(i % 997), [&, i] {
+      fired.push_back(i);
+    }));
+  // Cancel every odd event, plus re-cancel some (stale ids must no-op).
+  for (int i = 1; i < kN; i += 2) EXPECT_TRUE(q.cancel(ids[i]));
+  for (int i = 1; i < kN; i += 4) EXPECT_FALSE(q.cancel(ids[i]));
+  EXPECT_EQ(q.size(), static_cast<std::size_t>(kN / 2));
+  q.run_all();
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kN / 2));
+  for (int i : fired) ASSERT_EQ(i % 2, 0) << "cancelled event " << i;
+  // Survivors fire ordered by (at, scheduling order).
+  for (std::size_t k = 1; k < fired.size(); ++k) {
+    Cycle ta = 10 + static_cast<Cycle>(fired[k - 1] % 997);
+    Cycle tb = 10 + static_cast<Cycle>(fired[k] % 997);
+    ASSERT_LE(ta, tb);
+    if (ta == tb) {
+      ASSERT_LT(fired[k - 1], fired[k]);
     }
   }
 }
@@ -288,7 +282,7 @@ TEST(EngineParity, CancelHeavyChurn) {
 // Slot reuse must invalidate old ids: after an event fires, its id refers
 // to nothing even if the slot is reused by a later event.
 TEST(EngineParity, CancelAfterFireIsStaleEvenWithSlotReuse) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   EventId first = q.schedule_at(10, [] {});
   q.run_all();
   bool ran = false;
@@ -304,7 +298,7 @@ TEST(EngineParity, CancelAfterFireIsStaleEvenWithSlotReuse) {
 // A wake-up raised from inside a pooled closure for a time before any
 // pending event runs in place (no heap round-trip) and in order.
 TEST(DeferredInline, RunsInPlaceWhenNextInLine) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(10, [&] {
     order.push_back(1);
@@ -320,7 +314,7 @@ TEST(DeferredInline, RunsInPlaceWhenNextInLine) {
 // An earlier pending event must win: the deferred wake-up spills to the
 // heap and fires after it.
 TEST(DeferredInline, SpillsWhenEarlierEventPending) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(10, [&] {
     order.push_back(1);
@@ -337,7 +331,7 @@ TEST(DeferredInline, SpillsWhenEarlierEventPending) {
 // the schedule_or_inline call, so an event scheduled at the same cycle
 // BEFORE it still beats it, and one scheduled AFTER it loses.
 TEST(DeferredInline, EqualTimestampKeepsFifoOrder) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(10, [&] {
     order.push_back(1);
@@ -354,7 +348,7 @@ TEST(DeferredInline, EqualTimestampKeepsFifoOrder) {
 // Beyond the drain horizon the wake-up must not run inline: it spills and
 // fires in the next drain.
 TEST(DeferredInline, RespectsRunUntilHorizon) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(10, [&] {
     order.push_back(1);
@@ -370,7 +364,7 @@ TEST(DeferredInline, RespectsRunUntilHorizon) {
 // Chained wake-ups: an inlined deferred closure may defer again; the flush
 // loop picks each one up in turn without touching the heap.
 TEST(DeferredInline, ChainsInlineAcrossClosures) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<Cycle> at;
   std::function<void()> hop = [&] {
     at.push_back(q.now());
@@ -385,7 +379,7 @@ TEST(DeferredInline, ChainsInlineAcrossClosures) {
 // Inlined deferred steps count as executed events, so they burn watchdog
 // budget exactly like heap-drained events.
 TEST(DeferredInline, CountsAgainstWatchdogBudget) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   q.set_watchdog_budget(3);
   int fired = 0;
   std::function<void()> hop = [&] {
@@ -400,7 +394,7 @@ TEST(DeferredInline, CountsAgainstWatchdogBudget) {
 // A closure that throws after deferring: the parked wake-up spills to the
 // heap (it is not lost) and the queue stays consistent.
 TEST(DeferredInline, ExceptionSpillsParkedWakeup) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   bool woke = false;
   q.schedule_at(10, [&] {
     q.schedule_or_inline(20, [&] { woke = true; });
@@ -413,25 +407,10 @@ TEST(DeferredInline, ExceptionSpillsParkedWakeup) {
   EXPECT_TRUE(woke);
 }
 
-// On the reference engine schedule_or_inline degrades to plain scheduling:
-// same firing order, no inline accounting.
-TEST(DeferredInline, ReferenceEngineFallsBackToHeap) {
-  EventQueue q(DispatchMode::Reference);
-  std::vector<int> order;
-  q.schedule_at(10, [&] {
-    order.push_back(1);
-    q.schedule_or_inline(15, [&] { order.push_back(2); });
-  });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.deferred_inlined(), 0u);
-  EXPECT_EQ(q.deferred_spilled(), 0u);
-}
-
 // try_step_inline must refuse while a deferred wake-up is parked: the
 // wake-up precedes the continuation in FIFO order but is not in the heap.
 TEST(DeferredInline, BlocksTryStepInlineUntilFlushed) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<int> order;
   q.schedule_at(10, [&] {
     q.schedule_or_inline(20, [&] { order.push_back(1); });
@@ -445,10 +424,10 @@ TEST(DeferredInline, BlocksTryStepInlineUntilFlushed) {
 
 // ---------------------------------------------------------- step lanes
 
-// A stepper re-arms itself the way a machine does: through its lane on the
-// pooled engine, through schedule_at on the boxed one. It also drops heap
-// events at the cycle of its next step, so lanes and heap entries tie on
-// `at` and must break the tie by the seq each reserved.
+// A stepper re-arms itself the way a machine does: through its lane, or —
+// the oracle — through schedule_at, which shares no lane code. It also
+// drops heap events at the cycle of its next step, so lanes and heap
+// entries tie on `at` and must break the tie by the seq each reserved.
 struct Stepper {
   EventQueue& q;
   std::vector<std::pair<Cycle, int>>& log;
@@ -476,15 +455,14 @@ struct Stepper {
   }
 };
 
-std::vector<std::pair<Cycle, int>> run_steppers(DispatchMode mode,
-                                                int count) {
-  EventQueue q(mode);
+std::vector<std::pair<Cycle, int>> run_steppers(bool lanes, int count) {
+  EventQueue q;
   std::vector<std::pair<Cycle, int>> log;
   std::vector<std::unique_ptr<Stepper>> steppers;
   for (int id = 1; id <= count; ++id) {
     steppers.push_back(std::make_unique<Stepper>(
         Stepper{q, log, id, 40, static_cast<std::uint32_t>(id) * 7919u}));
-    if (mode == DispatchMode::Bytecode)
+    if (lanes)
       steppers.back()->lane =
           q.open_lane(&Stepper::fire_lane, steppers.back().get());
   }
@@ -494,14 +472,14 @@ std::vector<std::pair<Cycle, int>> run_steppers(DispatchMode mode,
   return log;
 }
 
-// Lanes on the pooled engine fire in exactly the order the same steps take
-// through the boxed heap: (at, seq), with seq reserved at arm time. 100
-// lanes grow the tournament tree through several doublings.
+// Lanes fire in exactly the order the same steps take through the heap:
+// (at, seq), with seq reserved at arm time. 100 lanes grow the tournament
+// tree through several doublings.
 TEST(StepLanes, InterleaveWithHeapInSeqOrder) {
   for (int count : {1, 2, 9, 100}) {
     SCOPED_TRACE(count);
-    const auto lanes = run_steppers(DispatchMode::Bytecode, count);
-    EXPECT_EQ(lanes, run_steppers(DispatchMode::Reference, count));
+    const auto lanes = run_steppers(/*lanes=*/true, count);
+    EXPECT_EQ(lanes, run_steppers(/*lanes=*/false, count));
     EXPECT_GE(lanes.size(), static_cast<std::size_t>(40 * count));
   }
 }
@@ -509,7 +487,7 @@ TEST(StepLanes, InterleaveWithHeapInSeqOrder) {
 // An armed lane is a live event: it blocks inline steps at or after its
 // time, and a deferred continuation behind it spills to the heap.
 TEST(StepLanes, ArmedLaneBlocksInlineAndDeferred) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   std::vector<int> order;
   struct Owner {
     std::vector<int>* order;
@@ -536,7 +514,7 @@ TEST(StepLanes, ArmedLaneBlocksInlineAndDeferred) {
 // The watchdog is charged before a lane fires; on a trip the step stays
 // armed and fires once the budget is raised.
 TEST(StepLanes, WatchdogLeavesLaneArmed) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   int fired = 0;
   struct Owner {
     int* fired;
@@ -558,7 +536,7 @@ TEST(StepLanes, WatchdogLeavesLaneArmed) {
 // reset() disarms every lane but keeps open lanes usable; closing a lane
 // drops its armed step, and the next open reuses it.
 TEST(StepLanes, ResetDisarmsAndCloseRetires) {
-  EventQueue q(DispatchMode::Bytecode);
+  EventQueue q;
   int fired = 0;
   struct Owner {
     int* fired;
@@ -580,9 +558,6 @@ TEST(StepLanes, ResetDisarmsAndCloseRetires) {
   q.run_all();
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), 6u);
-  EXPECT_THROW(EventQueue(DispatchMode::Reference).open_lane(&Owner::fire,
-                                                             &owner),
-               util::PreconditionError);
 }
 
 }  // namespace

@@ -86,21 +86,6 @@ TEST(EventQueueReset, RefusedInsideAnEvent) {
   q.run_all();
 }
 
-// Both engines honour the contract (the boxed engine backs the parity
-// suite in tests/dispatch_parity_test.cpp).
-TEST(EventQueueReset, BoxedEngineResetsToo) {
-  sim::EventQueue q(sim::DispatchMode::Reference);
-  std::vector<int> order;
-  q.schedule_at(4, [&order] { order.push_back(1); });
-  q.run_all();
-  q.reset();
-  EXPECT_EQ(q.now(), sim::Cycle{0});
-  EXPECT_EQ(q.executed(), 0u);
-  q.schedule_at(2, [&order] { order.push_back(2); });
-  q.run_all();
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
 // ---- WorldArena -----------------------------------------------------------
 
 // A run through a warm arena (reused queue slab + recycled trace buffers)
