@@ -3,21 +3,20 @@
 // one-class SVM.
 //
 // Besides the google-benchmark suite, this binary owns the ML data-plane
-// benchmark (DESIGN.md §10): an (l, d) grid timing the reference
-// (per-element) vs optimized (norm-cached blocked) kernel build, the
-// first-order vs WSS2+shrinking SMO solver, and compact-SV batch
-// inference, written to BENCH_ml.json together with a parity self-check.
+// benchmark (DESIGN.md §10): an (l, d) grid timing a per-element kernel
+// build (one kernel_eval per entry) against the norm-cached blocked build,
+// the OCSVM fit and compact-SV batch inference, written to BENCH_ml.json.
 // The grid's i.i.d. rows are all distinct; one configuration repeats 33
 // distinct rows to l = 1137 (d = 22), the shape of pooled Fig. 5(a)
 // features, so the fit's distinct-row Gram is exercised too. Flags:
 //   --quick          small grid, skip the google-benchmark suite (CI smoke)
 //   --ml-json PATH   where to write BENCH_ml.json (default ./BENCH_ml.json)
-// The process exits nonzero if the parity check fails or the optimized
-// kernel build does not beat the reference build.
+// The process exits nonzero unless the blocked kernel build beats the
+// per-element build by kMinKernelSpeedup on the largest i.i.d. entry.
+// Numerical parity is checked in ctest (ml_test, ocsvm_reference_test).
 #include <benchmark/benchmark.h>
 
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -245,24 +244,28 @@ struct MlShape {
 struct MlGridResult {
   std::size_t l = 0, d = 0, distinct_rows = 0;
   double kernel_ref_ms = 0, kernel_opt_ms = 0;
-  double fit_ref_ms = 0, fit_opt_ms = 0;
-  std::size_t iters_ref = 0, iters_opt = 0;
+  double fit_ms = 0;
+  std::size_t iters = 0;
   std::size_t sv_count = 0;
-  double decision_ref_ms = 0, decision_opt_ms = 0;
+  double decision_ms = 0;
 };
 
-struct MlParity {
-  double kernel_max_abs_diff = 0;
-  double rho_diff = 0;
-  double decision_max_abs_diff = 0;
-  bool ok = false;
-};
+/// The blocked build must be at least this much faster than the
+/// per-element one on the largest i.i.d. grid entry. It measures 5-6x on a
+/// 4-core x86 host; a per-element loop in its place reads 0.8-1.3x,
+/// which a bare "faster" test lets through in most runs.
+constexpr double kMinKernelSpeedup = 2.0;
 
-ml::OcsvmParams grid_params(bool reference) {
-  ml::OcsvmParams p;
-  p.nu = 0.1;
-  p.reference = reference;
-  return p;
+/// The yardstick for the blocked build: one kernel_eval per upper-triangle
+/// entry, mirrored, inline.
+void per_element_gram(const ml::KernelSpec& spec, double gamma,
+                      const ml::Matrix& x, std::vector<double>& out) {
+  const std::size_t l = x.rows();
+  out.resize(l * l);
+  for (std::size_t i = 0; i < l; ++i)
+    for (std::size_t j = i; j < l; ++j)
+      out[i * l + j] = out[j * l + i] =
+          ml::kernel_eval(spec, gamma, x.row(i), x.row(j));
 }
 
 MlGridResult run_ml_config(MlShape shape) {
@@ -280,77 +283,22 @@ MlGridResult run_ml_config(MlShape shape) {
   // so the timed reps measure the build itself rather than the first-touch
   // cost of a fresh l*l allocation.
   std::vector<double> k_ref, k_opt;
-  ml::build_kernel_matrix_reference(spec, gamma, x, nullptr, k_ref);
+  per_element_gram(spec, gamma, x, k_ref);
   ml::build_kernel_matrix(spec, gamma, x, nullptr, k_opt);
-  res.kernel_ref_ms = time_best_ms(reps, [&] {
-    ml::build_kernel_matrix_reference(spec, gamma, x, nullptr, k_ref);
-  });
+  res.kernel_ref_ms =
+      time_best_ms(reps, [&] { per_element_gram(spec, gamma, x, k_ref); });
   res.kernel_opt_ms = time_best_ms(reps, [&] {
     ml::build_kernel_matrix(spec, gamma, x, nullptr, k_opt);
   });
 
-  ml::OneClassSvm ref(grid_params(true));
-  res.fit_ref_ms = time_best_ms(1, [&] { ref.fit(x); });
-  res.iters_ref = ref.iterations_used();
-
-  ml::OneClassSvm opt(grid_params(false));
-  res.fit_opt_ms = time_best_ms(1, [&] { opt.fit(x); });
-  res.iters_opt = opt.iterations_used();
-  res.sv_count = opt.support_vector_count();
-
-  res.decision_ref_ms =
-      time_best_ms(reps, [&] { ref.decision_batch(x); });
-  res.decision_opt_ms =
-      time_best_ms(reps, [&] { opt.decision_batch(x); });
+  ml::OcsvmParams params;
+  params.nu = 0.1;
+  ml::OneClassSvm svm(params);
+  res.fit_ms = time_best_ms(1, [&] { svm.fit(x); });
+  res.iters = svm.iterations_used();
+  res.sv_count = svm.support_vector_count();
+  res.decision_ms = time_best_ms(reps, [&] { svm.decision_batch(x); });
   return res;
-}
-
-MlParity run_ml_parity(const ml::Matrix& x) {
-  MlParity parity;
-  ml::KernelSpec spec;
-  double gamma = ml::resolve_gamma(spec, x.cols());
-
-  std::vector<double> k_ref, k_opt;
-  ml::build_kernel_matrix_reference(spec, gamma, x, nullptr, k_ref);
-  ml::build_kernel_matrix(spec, gamma, x, nullptr, k_opt);
-  for (std::size_t i = 0; i < k_ref.size(); ++i)
-    parity.kernel_max_abs_diff =
-        std::max(parity.kernel_max_abs_diff, std::abs(k_ref[i] - k_opt[i]));
-
-  auto tight = [](bool reference) {
-    ml::OcsvmParams p = grid_params(reference);
-    p.tol = 1e-10;
-    return p;
-  };
-  ml::OneClassSvm ref(tight(true)), opt(tight(false));
-  ref.fit(x);
-  opt.fit(x);
-  parity.rho_diff = std::abs(ref.rho() - opt.rho());
-  auto d_ref = ref.decision_batch(x);
-  auto d_opt = opt.decision_batch(x);
-  for (std::size_t i = 0; i < d_ref.size(); ++i)
-    parity.decision_max_abs_diff = std::max(
-        parity.decision_max_abs_diff, std::abs(d_ref[i] - d_opt[i]));
-
-  parity.ok = parity.kernel_max_abs_diff < 1e-10 &&
-              parity.rho_diff < 1e-7 && parity.decision_max_abs_diff < 1e-7;
-  return parity;
-}
-
-void print_parity(const char* label, const MlParity& parity) {
-  std::printf(
-      "parity (%s): kernel max|diff| %.3e, rho diff %.3e, "
-      "decision max|diff| %.3e -> %s\n",
-      label, parity.kernel_max_abs_diff, parity.rho_diff,
-      parity.decision_max_abs_diff, parity.ok ? "OK" : "FAIL");
-}
-
-void write_parity(std::ostream& os, const char* key, const MlParity& parity) {
-  os << "  \"" << key << "\": {\n"
-     << "    \"kernel_max_abs_diff\": " << parity.kernel_max_abs_diff
-     << ",\n    \"rho_diff\": " << parity.rho_diff
-     << ",\n    \"decision_max_abs_diff\": " << parity.decision_max_abs_diff
-     << ",\n    \"ok\": " << (parity.ok ? "true" : "false") << "\n  },\n";
 }
 
 int run_ml_bench(bool quick, const std::string& json_path) {
@@ -359,28 +307,19 @@ int run_ml_bench(bool quick, const std::string& json_path) {
     grid.push_back({1000, 64});
     grid.push_back({2000, 64});
   }
-  constexpr MlShape kRepeated{1137, 22, 33};
-  grid.push_back(kRepeated);
+  grid.push_back({1137, 22, 33});
 
-  std::printf("ML data plane: reference vs optimized (%s grid)\n",
+  std::printf("ML data plane: per-element vs blocked kernel build (%s grid)\n",
               quick ? "quick" : "full");
-  const MlParity parity = run_ml_parity(random_matrix(80, 8, 0xbeef));
-  const MlParity parity_repeated = run_ml_parity(repeated_matrix(
-      kRepeated.l, kRepeated.d, kRepeated.distinct, 0xbeef));
-  print_parity("l=80,d=8", parity);
-  print_parity("l=1137,d=22 from 33 distinct rows", parity_repeated);
-
   std::vector<MlGridResult> results;
   for (MlShape shape : grid) {
     MlGridResult r = run_ml_config(shape);
     std::printf(
         "l=%4zu d=%3zu distinct=%4zu  kernel %8.2f -> %8.2f ms (x%.2f)  "
-        "fit %8.2f -> %8.2f ms  iters %6zu -> %6zu  sv %4zu  batch %7.2f -> "
-        "%7.2f ms\n",
+        "fit %8.2f ms  iters %6zu  sv %4zu  batch %7.2f ms\n",
         r.l, r.d, r.distinct_rows, r.kernel_ref_ms, r.kernel_opt_ms,
-        r.kernel_ref_ms / std::max(r.kernel_opt_ms, 1e-9), r.fit_ref_ms,
-        r.fit_opt_ms, r.iters_ref, r.iters_opt, r.sv_count,
-        r.decision_ref_ms, r.decision_opt_ms);
+        r.kernel_ref_ms / std::max(r.kernel_opt_ms, 1e-9), r.fit_ms, r.iters,
+        r.sv_count, r.decision_ms);
     results.push_back(r);
   }
 
@@ -391,8 +330,6 @@ int run_ml_bench(bool quick, const std::string& json_path) {
   }
   os << "{\n  \"bench\": \"ml_data_plane\",\n";
   os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-  write_parity(os, "parity", parity);
-  write_parity(os, "parity_repeated", parity_repeated);
   os << "  \"grid\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const MlGridResult& r = results[i];
@@ -401,31 +338,24 @@ int run_ml_bench(bool quick, const std::string& json_path) {
        << ", \"kernel_ref_ms\": " << r.kernel_ref_ms
        << ", \"kernel_opt_ms\": " << r.kernel_opt_ms << ", \"kernel_speedup\": "
        << r.kernel_ref_ms / std::max(r.kernel_opt_ms, 1e-9)
-       << ",\n     \"fit_ref_ms\": " << r.fit_ref_ms
-       << ", \"fit_opt_ms\": " << r.fit_opt_ms
-       << ", \"iters_ref\": " << r.iters_ref
-       << ", \"iters_opt\": " << r.iters_opt
-       << ", \"sv_count\": " << r.sv_count
-       << ",\n     \"decision_batch_ref_ms\": " << r.decision_ref_ms
-       << ", \"decision_batch_opt_ms\": " << r.decision_opt_ms << "}"
+       << ",\n     \"fit_opt_ms\": " << r.fit_ms
+       << ", \"iters_opt\": " << r.iters << ", \"sv_count\": " << r.sv_count
+       << ", \"decision_batch_opt_ms\": " << r.decision_ms << "}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
   os.close();
   std::printf("wrote %s\n", json_path.c_str());
 
-  if (!parity.ok || !parity_repeated.ok) {
-    std::fprintf(stderr, "ML parity self-check FAILED\n");
-    return 1;
-  }
-  // The largest i.i.d. grid entry (the one before kRepeated) must show the
-  // optimized build winning.
+  // The largest i.i.d. grid entry (the one before the repeated-rows entry)
+  // must show the blocked build winning by the floor's margin.
   const MlGridResult& last = results[results.size() - 2];
-  if (last.kernel_opt_ms >= last.kernel_ref_ms) {
+  if (last.kernel_ref_ms < kMinKernelSpeedup * last.kernel_opt_ms) {
     std::fprintf(stderr,
-                 "optimized kernel build (%.2f ms) did not beat the "
-                 "reference build (%.2f ms) at l=%zu d=%zu\n",
-                 last.kernel_opt_ms, last.kernel_ref_ms, last.l, last.d);
+                 "blocked kernel build (%.2f ms) is not %.1fx faster than "
+                 "the per-element build (%.2f ms) at l=%zu d=%zu\n",
+                 last.kernel_opt_ms, kMinKernelSpeedup, last.kernel_ref_ms,
+                 last.l, last.d);
     return 1;
   }
   return 0;

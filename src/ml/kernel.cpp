@@ -6,7 +6,6 @@
 
 #include "util/assert.hpp"
 #include "util/stats.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sent::ml {
 
@@ -92,26 +91,6 @@ double kernel_from_dot(const KernelSpec& spec, double gamma, double dot_ab,
   }
   SENT_ASSERT_MSG(false, "unknown kernel type");
   return 0.0;
-}
-
-void build_kernel_matrix_reference(const KernelSpec& spec, double gamma,
-                                   const Matrix& x, util::ThreadPool* pool,
-                                   std::vector<double>& out) {
-  const std::size_t l = x.rows();
-  check_matrix(x);
-  out.resize(l * l);
-  auto row_task = [&](std::size_t i) {
-    for (std::size_t j = i; j < l; ++j) {
-      double v = kernel_eval(spec, gamma, x.row(i), x.row(j));
-      out[i * l + j] = v;
-      out[j * l + i] = v;
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(l, row_task);
-  } else {
-    for (std::size_t i = 0; i < l; ++i) row_task(i);
-  }
 }
 
 }  // namespace sent::ml

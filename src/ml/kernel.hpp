@@ -4,15 +4,14 @@
 // seamlessly applied ... it can find a nonlinear boundary"); linear and
 // polynomial kernels are provided for ablation.
 //
-// Two Gram-matrix builders are provided (DESIGN.md §10):
-//  - build_kernel_matrix: the optimized path. Caches per-row squared
-//    norms so RBF entries come from one dot product —
-//    K(i,j) = exp(-gamma (|xi|^2 + |xj|^2 - 2 <xi,xj>)) — and walks the
-//    upper triangle in cache-sized tiles, fanning tile-rows across an
-//    optional thread pool.
-//  - build_kernel_matrix_reference: the retained pre-optimization path
-//    (one kernel_eval call per entry), kept as the parity/benchmark
-//    baseline for the optimized build.
+// build_kernel_matrix is the one Gram-matrix builder (DESIGN.md §10). It
+// caches per-row squared norms so RBF entries come from one dot product —
+// K(i,j) = exp(-gamma (|xi|^2 + |xj|^2 - 2 <xi,xj>)) — and walks the upper
+// triangle in cache-sized tiles, fanning tile-rows across an optional
+// thread pool. kernel_eval computes one entry directly from the two rows;
+// it is compiled with the project's default flags, and the per-element
+// Gram that ml_test and micro_perf build from it is the yardstick the
+// blocked build is checked and timed against.
 #pragma once
 
 #include <cstdint>
@@ -68,12 +67,5 @@ double kernel_from_dot(const KernelSpec& spec, double gamma, double dot_ab,
 void build_kernel_matrix(const KernelSpec& spec, double gamma,
                          const Matrix& x, util::ThreadPool* pool,
                          std::vector<double>& out);
-
-/// Retained reference build: one kernel_eval per upper-triangle entry,
-/// row-parallel across `pool` (nullptr = inline) — the pre-flat-layout
-/// hot path, kept for parity tests and the micro_perf baseline.
-void build_kernel_matrix_reference(const KernelSpec& spec, double gamma,
-                                   const Matrix& x, util::ThreadPool* pool,
-                                   std::vector<double>& out);
 
 }  // namespace sent::ml

@@ -3,12 +3,13 @@
 // This translation unit is compiled with vector-math flags when the
 // toolchain supports them (see src/CMakeLists.txt): the batched
 // exp() loop below then lowers to libmvec SIMD calls and the blocked dot
-// micro-kernel to FMA vectors. The retained reference build in kernel.cpp
-// stays on the project-default flags so it remains bit-identical to the
-// pre-optimization code path. Which exp() variant (SIMD lanes or scalar
-// tail) computes an entry depends on its column offset, so two copies of
-// one row can get entries a last bit apart; the one-class SVM builds over
-// distinct rows only, so its duplicate rows share one Gram row.
+// micro-kernel to FMA vectors. kernel_eval in kernel.cpp stays on the
+// project-default flags; the per-element Gram built from it is what this
+// build is checked against (ml_test) and timed against (micro_perf's
+// kernel floor). Which exp() variant (SIMD lanes or scalar tail) computes
+// an entry depends on its column offset, so two copies of one row can get
+// entries a last bit apart; the one-class SVM builds over distinct rows
+// only, so its duplicate rows share one Gram row.
 //
 // Structure per column tile [j0, j1):
 //   1. a 4x2 register-blocked micro-kernel forms dot products of every

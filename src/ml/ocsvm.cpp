@@ -42,6 +42,7 @@ struct Metrics {
       obs::Registry::global().histogram("ml.support_vectors_per_fit");
   obs::Histogram distinct_rows =
       obs::Registry::global().histogram("ml.distinct_rows_per_fit");
+  obs::Phase scale{"ml.scale"};
   obs::Phase kernel_build{"ml.kernel_build"};
   obs::Phase smo{"ml.smo"};
 
@@ -126,41 +127,32 @@ void OneClassSvm::fit(const Matrix& rows) {
     if (!std::isfinite(data[i]))
       throw TrainingError("non-finite value in feature matrix");
   Matrix train;
-  if (params_.standardize) {
+  {
+    obs::Span scale_span(Metrics::get().scale);
     scaler_.fit(rows);
     train = scaler_.transform(rows);
-  } else {
-    train = rows;
   }
   gamma_ = resolve_gamma(params_.kernel, d);
   dim_ = d;
   solve(train);
 
   // Compact the model to its support vectors so inference scales with the
-  // SV count. The reference path instead keeps the full training matrix
-  // and replays the pre-optimization decision sum.
-  sv_x_ = Matrix();
+  // SV count.
+  std::size_t nsv = 0;
+  for (double a : alpha_) nsv += a > kEps;
+  sv_x_ = Matrix(nsv, d);
   sv_alpha_.clear();
-  sv_norms_.clear();
-  train_full_ = Matrix();
-  if (params_.reference) {
-    train_full_ = std::move(train);
-  } else {
-    std::size_t nsv = 0;
-    for (double a : alpha_) nsv += a > kEps;
-    sv_x_ = Matrix(nsv, d);
-    sv_alpha_.reserve(nsv);
-    std::size_t s = 0;
-    for (std::size_t i = 0; i < alpha_.size(); ++i) {
-      if (alpha_[i] <= kEps) continue;
-      std::span<const double> src = train.row(i);
-      std::copy(src.begin(), src.end(), sv_x_.row(s).begin());
-      sv_alpha_.push_back(alpha_[i]);
-      ++s;
-    }
-    sv_norms_ = row_squared_norms(sv_x_);
+  sv_alpha_.reserve(nsv);
+  std::size_t s = 0;
+  for (std::size_t i = 0; i < alpha_.size(); ++i) {
+    if (alpha_[i] <= kEps) continue;
+    std::span<const double> src = train.row(i);
+    std::copy(src.begin(), src.end(), sv_x_.row(s).begin());
+    sv_alpha_.push_back(alpha_[i]);
+    ++s;
   }
-  Metrics::get().support_vectors.record(support_vector_count());
+  sv_norms_ = row_squared_norms(sv_x_);
+  Metrics::get().support_vectors.record(nsv);
   fitted_ = true;
 }
 
@@ -169,26 +161,17 @@ void OneClassSvm::solve(const Matrix& x) {
   const double c = 1.0 / (params_.nu * static_cast<double>(l));
 
   // Intervals that ran the same handler path share one feature row, so the
-  // optimized path builds the Gram over the U distinct rows only and reads
+  // Gram is built over the U distinct rows only and read as
   // Q(i, j) = K[cls(i) * U + cls(j)]: O(U^2 + l) memory instead of O(l^2),
   // and identical rows see identical Q rows, so they tie exactly. With no
   // duplicates (U = l) this is the dense Gram of x itself. The build is the
-  // O(U^2 d) hot path; see kernel_opt.cpp for the blocked norm-cached build
-  // and kernel.cpp for the retained per-element reference build, which the
-  // reference path runs densely (identity classes).
+  // O(U^2 d) hot path; see kernel_opt.cpp for the blocked norm-cached build.
   ClassGram q;
   {
     obs::Span build_span(Metrics::get().kernel_build);
-    if (params_.reference) {
-      q.cls.resize(l);
-      std::iota(q.cls.begin(), q.cls.end(), std::uint32_t{0});
-      q.u = l;
-      build_kernel_matrix_reference(params_.kernel, gamma_, x, pool(), q.k);
-    } else {
-      const Matrix distinct = group_identical_rows(x, q.cls);
-      q.u = distinct.rows();
-      build_kernel_matrix(params_.kernel, gamma_, distinct, pool(), q.k);
-    }
+    const Matrix distinct = group_identical_rows(x, q.cls);
+    q.u = distinct.rows();
+    build_kernel_matrix(params_.kernel, gamma_, distinct, pool(), q.k);
   }
   Metrics::get().kernel_cells.inc(q.u * q.u);
   Metrics::get().distinct_rows.record(q.u);
@@ -220,11 +203,7 @@ void OneClassSvm::solve(const Matrix& x) {
 
   converged_ = false;
   iterations_ = 0;
-  if (params_.reference) {
-    smo_reference(q.k, l, c, g);
-  } else {
-    smo_optimized(q, l, c, g);
-  }
+  smo(q, l, c, g);
   Metrics::get().fits.inc();
   Metrics::get().iterations.inc(iterations_);
   Metrics::get().iterations_per_fit.record(iterations_);
@@ -261,58 +240,12 @@ void OneClassSvm::solve(const Matrix& x) {
   for (std::size_t t = 0; t < l; ++t) train_decision_[t] = g[t] - rho_;
 }
 
-// The retained pre-optimization loop: first-order maximal-violating-pair
-// selection over all l variables every iteration. Kept bit-identical to
-// the original solver for parity tests and benchmark baselines.
-void OneClassSvm::smo_reference(const std::vector<double>& q, std::size_t l,
-                                double c, std::vector<double>& g) {
-  while (iterations_ < params_.max_iter) {
-    // Maximal violating pair: i can grow (alpha_i < C) with minimal G;
-    // j can shrink (alpha_j > 0) with maximal G.
-    std::size_t up = l, low = l;
-    double g_up = std::numeric_limits<double>::infinity();
-    double g_low = -std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < l; ++t) {
-      if (alpha_[t] < c - kEps && g[t] < g_up) {
-        g_up = g[t];
-        up = t;
-      }
-      if (alpha_[t] > kEps && g[t] > g_low) {
-        g_low = g[t];
-        low = t;
-      }
-    }
-    if (up == l || low == l || g_low - g_up < params_.tol) {
-      converged_ = true;
-      break;
-    }
-
-    double denom = q[up * l + up] + q[low * l + low] - 2.0 * q[up * l + low];
-    double step = (g_low - g_up) / std::max(denom, kTau);
-    step = std::min(step, c - alpha_[up]);
-    step = std::min(step, alpha_[low]);
-    if (!(step > 0.0))
-      throw TrainingError(
-          "pair update stalled (step " + std::to_string(step) +
-          " at iteration " + std::to_string(iterations_) +
-          "): violating pair selected but no feasible progress");
-    alpha_[up] += step;
-    alpha_[low] -= step;
-
-    const double* q_up = &q[up * l];
-    const double* q_low = &q[low * l];
-    for (std::size_t t = 0; t < l; ++t)
-      g[t] += step * (q_up[t] - q_low[t]);
-    ++iterations_;
-  }
-}
-
 // Second-order (WSS2) working-set selection with shrinking, following
 // LIBSVM's one-class solver. The active set is a plain index list;
 // gradients of shrunk variables go stale and are reconstructed from
 // Q alpha (support vectors only) before any full-set decision.
-void OneClassSvm::smo_optimized(const ClassGram& q, std::size_t l,
-                                double c, std::vector<double>& g) {
+void OneClassSvm::smo(const ClassGram& q, std::size_t l, double c,
+                      std::vector<double>& g) {
   // Rows of the Gram are class rows of length U, indexed by cls[t]; kd is
   // the per-class diagonal Q_tt.
   const std::uint32_t* cls = q.cls.data();
@@ -383,7 +316,7 @@ void OneClassSvm::smo_optimized(const ClassGram& q, std::size_t l,
   while (iterations_ < params_.max_iter) {
     if (counter-- == 0) {
       counter = shrink_interval;
-      if (params_.shrinking) do_shrinking();
+      do_shrinking();
     }
 
     // First-order choice of the up candidate; g_low only for stopping.
@@ -458,17 +391,6 @@ void OneClassSvm::smo_optimized(const ClassGram& q, std::size_t l,
 }
 
 double OneClassSvm::decision_scaled(std::span<const double> z) const {
-  if (params_.reference) {
-    // Pre-optimization sum over the full training set (alpha==0 skipped),
-    // one kernel_eval per retained row.
-    double sum = 0.0;
-    for (std::size_t i = 0; i < train_full_.rows(); ++i) {
-      if (alpha_[i] <= kEps) continue;
-      sum += alpha_[i] *
-             kernel_eval(params_.kernel, gamma_, train_full_.row(i), z);
-    }
-    return sum - rho_;
-  }
   const std::size_t d = z.size();
   double nz = 0.0;
   for (double v : z) nz += v * v;
@@ -487,7 +409,6 @@ double OneClassSvm::decision_scaled(std::span<const double> z) const {
 double OneClassSvm::decision(std::span<const double> x) const {
   SENT_REQUIRE_MSG(fitted(), "decision() before fit()");
   SENT_REQUIRE(x.size() == dim_);
-  if (!params_.standardize) return decision_scaled(x);
   std::vector<double> z(dim_);
   scaler_.transform_row(x, z);
   return decision_scaled(z);
@@ -499,7 +420,7 @@ std::vector<double> OneClassSvm::decision_batch(const Matrix& rows) const {
   SENT_REQUIRE(rows.empty() || rows.cols() == dim_);
   // Standardize the whole batch once; per-query work is then just the
   // compact SV sum.
-  Matrix z = params_.standardize ? scaler_.transform(rows) : rows;
+  Matrix z = scaler_.transform(rows);
   std::vector<double> out(z.rows());
   auto task = [&](std::size_t i) { out[i] = decision_scaled(z.row(i)); };
   util::ThreadPool* p = pool();

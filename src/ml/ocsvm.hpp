@@ -13,7 +13,7 @@
 // nu upper-bounds the fraction of training points scored as outliers and
 // lower-bounds the fraction of support vectors.
 //
-// The default solver builds the Gram over the U distinct rows of the
+// The solver builds the Gram over the U distinct rows of the
 // standardized training matrix only (Sentomist's intervals repeat a few
 // feature rows many times) and reads Q_ij through each row's class, so
 // memory is O(U^2 + l) and bitwise-identical rows get bitwise-identical
@@ -23,10 +23,9 @@
 // drops below tol, so shrinking never changes the stopping criterion
 // (DESIGN.md §10). After fit the model is compacted to its support
 // vectors, so decision() and decision_batch() scale with the SV count,
-// not the training size. OcsvmParams::reference = true retains the
-// pre-optimization path (dense per-element kernel build, first-order
-// maximal-violating-pair SMO, full-training-set decision sums) for parity
-// tests and benchmarks.
+// not the training size. Parity is checked against a naive oracle
+// (per-element Gram, first-order SMO, full-training-set decision sums)
+// that lives in tests/ocsvm_reference_test.cpp only.
 #pragma once
 
 #include <memory>
@@ -47,7 +46,6 @@ namespace sent::ml {
 struct OcsvmParams {
   double nu = 0.05;
   KernelSpec kernel{};
-  bool standardize = true;
   /// KKT violation tolerance. Sentomist features are heavily duplicated
   /// (most intervals share identical instruction counts), which makes the
   /// dual near-degenerate: decision values of non-support rows land at the
@@ -68,16 +66,6 @@ struct OcsvmParams {
   /// threads > 1, the detector constructs one pool at creation time and
   /// reuses it for every fit/decision_batch call (never per call).
   util::ThreadPool* pool = nullptr;
-
-  /// Shrink bound variables out of the SMO working set (optimized solver
-  /// only). Convergence is always re-validated on the full set.
-  bool shrinking = true;
-
-  /// Run the retained pre-optimization path end to end: per-element Gram
-  /// build, first-order pair selection, no shrinking, decision sums over
-  /// the full training set. Kept for parity tests and as the micro_perf
-  /// baseline.
-  bool reference = false;
 };
 
 class OneClassSvm final : public core::OutlierDetector {
@@ -130,14 +118,10 @@ class OneClassSvm final : public core::OutlierDetector {
   std::unique_ptr<util::ThreadPool> owned_pool_;
   StandardScaler scaler_;
 
-  // Compact model (optimized path): support vectors only.
+  // Compact model: support vectors only.
   Matrix sv_x_;
   std::vector<double> sv_alpha_;
   std::vector<double> sv_norms_;
-
-  // Reference path keeps the full scaled training matrix so decision()
-  // reproduces the pre-optimization sum (including its alpha==0 skips).
-  Matrix train_full_;
 
   std::vector<double> alpha_;
   std::vector<double> train_decision_;  ///< f(x_i) for the training rows
@@ -152,10 +136,8 @@ class OneClassSvm final : public core::OutlierDetector {
 
   util::ThreadPool* pool() const;
   void solve(const Matrix& x);
-  void smo_reference(const std::vector<double>& q, std::size_t l, double c,
-                     std::vector<double>& g);
-  void smo_optimized(const ClassGram& q, std::size_t l, double c,
-                     std::vector<double>& g);
+  void smo(const ClassGram& q, std::size_t l, double c,
+           std::vector<double>& g);
   double decision_scaled(std::span<const double> z) const;
 };
 

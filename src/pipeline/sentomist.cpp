@@ -32,6 +32,7 @@ struct Metrics {
   obs::Phase anatomize{"pipeline.anatomize"};
   obs::Phase featurize{"pipeline.featurize"};
   obs::Phase score{"pipeline.score"};
+  obs::Phase rank{"pipeline.rank"};
 
   static const Metrics& get() {
     static Metrics m;
@@ -197,13 +198,15 @@ void score_and_rank(AnalysisReport& report, core::FeatureMatrix matrix,
     report.degradation = e.what();
   }
   SENT_ASSERT(report.scores.size() == report.samples.size());
-  core::normalize_scores(report.scores);
-
-  report.ranking.clear();
-  auto ranked = core::rank_ascending(report.scores);
-  report.ranking.reserve(ranked.size());
-  for (const auto& r : ranked)
-    report.ranking.push_back(RankedEntry{r.index, r.score});
+  {
+    obs::Span rank_span(Metrics::get().rank);
+    core::normalize_scores(report.scores);
+    report.ranking.clear();
+    auto ranked = core::rank_ascending(report.scores);
+    report.ranking.reserve(ranked.size());
+    for (const auto& r : ranked)
+      report.ranking.push_back(RankedEntry{r.index, r.score});
+  }
   if (options.keep_features) report.features = std::move(matrix);
 }
 

@@ -15,6 +15,7 @@
 #include "ml/kfd.hpp"
 #include "ml/ocsvm.hpp"
 #include "ml/scaler.hpp"
+#include "obs/metrics.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -111,6 +112,49 @@ TEST(Kernel, ExplicitGammaWins) {
   KernelSpec spec;
   spec.gamma = 0.125;
   EXPECT_DOUBLE_EQ(resolve_gamma(spec, 100), 0.125);
+}
+
+// l normal rows of d features: i.i.d. when distinct == 0, otherwise
+// `distinct` normal rows repeated to l in shuffled order (the inputs
+// micro_perf times).
+Matrix normal_rows(std::size_t l, std::size_t d, std::size_t distinct,
+                   std::uint64_t seed) {
+  util::Rng rng(seed);
+  Matrix rows(distinct == 0 ? l : distinct, d);
+  for (std::size_t i = 0; i < rows.rows() * d; ++i)
+    rows.data()[i] = rng.normal();
+  if (distinct == 0) return rows;
+  util::Rng pick_rng(seed + 1);
+  std::vector<std::size_t> pick;
+  for (std::size_t i = 0; i < l; ++i)
+    pick.push_back(i < distinct ? i : pick_rng.below(distinct));
+  pick_rng.shuffle(pick);
+  Matrix x(0, d);
+  for (std::size_t k : pick) x.append_row(rows.row(k));
+  return x;
+}
+
+// The blocked, norm-cached build (kernel_opt.cpp, vector-math flags)
+// against one kernel_eval per entry at the default flags, on i.i.d. rows
+// and on 33 distinct rows repeated to l = 1137, d = 22 (the pooled
+// Fig. 5(a) shape).
+TEST(Kernel, BlockedBuildMatchesPerElement) {
+  KernelSpec spec;  // rbf
+  for (const Matrix& x :
+       {normal_rows(80, 8, 0, 0xbeef), normal_rows(1137, 22, 33, 0xbeef)}) {
+    const std::size_t l = x.rows();
+    const double gamma = resolve_gamma(spec, x.cols());
+    std::vector<double> k;
+    build_kernel_matrix(spec, gamma, x, nullptr, k);
+    ASSERT_EQ(k.size(), l * l);
+    double max_diff = 0.0;
+    for (std::size_t i = 0; i < l; ++i)
+      for (std::size_t j = 0; j < l; ++j)
+        max_diff = std::max(
+            max_diff, std::abs(k[i * l + j] -
+                               kernel_eval(spec, gamma, x.row(i), x.row(j))));
+    EXPECT_LT(max_diff, 1e-10) << "l=" << l << " d=" << x.cols();
+  }
 }
 
 // ----------------------------------------------------------------- eigen
@@ -281,6 +325,40 @@ TEST(Ocsvm, IdenticalRowsScoreEqually) {
   OneClassSvm svm;
   auto scores = svm.score(rows);
   for (double s : scores) EXPECT_EQ(s, scores[0]);
+}
+
+// The fit builds its Gram over the distinct rows only (DESIGN.md §10),
+// checked by count rather than by time: one fit of a pooled-I-shaped
+// matrix records 33 distinct rows and builds 33 x 33 kernel cells, not
+// 1137 x 1137.
+TEST(Ocsvm, GramIsBuiltOverDistinctRows) {
+  obs::Registry& reg = obs::Registry::global();
+  struct Restore {
+    obs::Registry& reg;
+    bool enabled = reg.enabled();
+    ~Restore() { reg.set_enabled(enabled); }
+  } restore{reg};
+  reg.set_enabled(true);
+  auto distinct_rows = [](const obs::Snapshot& snap) {
+    const obs::HistogramData* h =
+        snap.histogram_data("ml.distinct_rows_per_fit");
+    return h == nullptr ? obs::HistogramData{} : *h;
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::vector<std::size_t> group;
+    Matrix x = duplicated_counts(seed, group);
+    const obs::Snapshot before = reg.snapshot();
+    OneClassSvm svm;
+    svm.fit(x);
+    const obs::Snapshot after = reg.snapshot();
+    EXPECT_EQ(distinct_rows(after).count - distinct_rows(before).count, 1u);
+    EXPECT_EQ(distinct_rows(after).sum - distinct_rows(before).sum, 33u)
+        << "seed " << seed;
+    EXPECT_EQ(after.counter_value("ml.kernel_cells_built") -
+                  before.counter_value("ml.kernel_cells_built"),
+              33u * 33u)
+        << "seed " << seed;
+  }
 }
 
 TEST(Ocsvm, ParamValidation) {

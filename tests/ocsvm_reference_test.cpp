@@ -1,14 +1,19 @@
-// Cross-validation of the SMO one-class SVM against an independent
-// reference solver (projected gradient descent on the same dual with exact
-// projection onto the capped simplex). On small problems the two must
-// agree on the optimal objective value and on the resulting ranking.
+// Cross-validation of the SMO one-class SVM against two independent
+// solvers of the same dual: projected gradient descent with exact
+// projection onto the capped simplex (optimal objective and scores on
+// small problems), and NaiveOcsvm, a plain SMO oracle (alpha mass, rho and
+// every decision on i.i.d. and repeated-row matrices, and the Figure 5
+// rankings end to end).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <ostream>
+#include <span>
+#include <string>
 
 #include "apps/scenarios.hpp"
 #include "core/detector.hpp"
@@ -140,10 +145,10 @@ TEST_P(OcsvmVsReference, ObjectivesAndRankingsAgree) {
   // Reference solution.
   Reference ref = reference_solve(z, spec, gamma, nu);
 
-  // SMO solution (standardization off: rows are already standardized).
+  // SMO solution. The detector standardizes its input again; the rows are
+  // already standardized, so that changes them only by rounding.
   OcsvmParams params;
   params.nu = nu;
-  params.standardize = false;
   OneClassSvm svm(params);
   std::vector<double> scores = svm.score(z);
   ASSERT_TRUE(svm.converged());
@@ -208,16 +213,110 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(std::size_t{40}, 0.1),
                       std::make_tuple(std::size_t{60}, 0.15)));
 
-// ---- Optimized path vs retained reference path -----------------------------
+// ---- Production detector vs a naive oracle ---------------------------------
 //
-// OcsvmParams::reference replays the pre-optimization code end to end
-// (per-element Gram build, first-order pair selection, full-training-set
-// decision sums). The optimized path (distinct-row Gram, WSS2 + shrinking,
-// compact-SV decision) must land on the same solution: at a tight
-// tolerance the dual is solved to well below the comparison threshold, so
-// rho and every decision value agree to 1e-9, and so does the alpha mass
-// of each group of identical rows. (Per-variable alpha is not unique when
-// rows repeat: any split of a group's mass among its rows is optimal.)
+// NaiveOcsvm solves the production detector's dual the plain way and
+// shares no code with its distinct-row Gram, WSS2 selection, shrinking or
+// support-vector compaction. It standardizes with StandardScaler, builds
+// the per-element l x l Gram with kernel_eval, starts from LIBSVM's
+// feasible point and runs first-order maximal-violating-pair SMO down to
+// tol. rho is the mean gradient over free support vectors, or else the
+// midpoint of the bound bracket (the production rule). A decision sums
+// alpha_i k(x_i, z) over every training row; score() returns the training
+// rows' decisions from the gradient, G_i - rho.
+class NaiveOcsvm final : public core::OutlierDetector {
+ public:
+  explicit NaiveOcsvm(OcsvmParams params = {}) : p_(params) {}
+
+  std::string name() const override { return "naive-ocsvm"; }
+  using core::OutlierDetector::score;
+  std::vector<double> score(const Matrix& rows) override {
+    fit(rows);
+    std::vector<double> out(g_.size());
+    for (std::size_t i = 0; i < g_.size(); ++i) out[i] = g_[i] - rho_;
+    return out;
+  }
+
+  void fit(const Matrix& rows) {
+    scaler_.fit(rows);
+    x_ = scaler_.transform(rows);
+    const std::size_t l = x_.rows();
+    gamma_ = resolve_gamma(p_.kernel, x_.cols());
+    const double c = 1.0 / (p_.nu * static_cast<double>(l));
+    std::vector<double> q(l * l);
+    for (std::size_t i = 0; i < l; ++i)
+      for (std::size_t j = 0; j < l; ++j)
+        q[i * l + j] = kernel_eval(p_.kernel, gamma_, x_.row(i), x_.row(j));
+
+    alpha_.assign(l, 0.0);
+    double remaining = 1.0;
+    for (std::size_t i = 0; i < l && remaining > 0.0; ++i) {
+      alpha_[i] = std::min(c, remaining);
+      remaining -= alpha_[i];
+    }
+    g_.assign(l, 0.0);
+    for (std::size_t i = 0; i < l; ++i)
+      for (std::size_t j = 0; j < l; ++j) g_[i] += q[i * l + j] * alpha_[j];
+
+    converged_ = false;
+    for (std::size_t iter = 0; iter < p_.max_iter; ++iter) {
+      std::size_t up = l, low = l;  // up can grow, low can shrink
+      for (std::size_t t = 0; t < l; ++t) {
+        if (alpha_[t] < c - kEps && (up == l || g_[t] < g_[up])) up = t;
+        if (alpha_[t] > kEps && (low == l || g_[t] > g_[low])) low = t;
+      }
+      if (up == l || low == l || g_[low] - g_[up] < p_.tol) {
+        converged_ = true;
+        break;
+      }
+      const double quad = q[up * l + up] + q[low * l + low] -
+                          2.0 * q[up * l + low];
+      const double step = std::min({(g_[low] - g_[up]) / std::max(quad, kEps),
+                                    c - alpha_[up], alpha_[low]});
+      alpha_[up] += step;
+      alpha_[low] -= step;
+      for (std::size_t t = 0; t < l; ++t)
+        g_[t] += step * (q[up * l + t] - q[low * l + t]);
+    }
+
+    double free_sum = 0.0, free_count = 0.0;
+    double ub = std::numeric_limits<double>::infinity();   // min G at 0
+    double lb = -std::numeric_limits<double>::infinity();  // max G at C
+    for (std::size_t t = 0; t < l; ++t) {
+      if (alpha_[t] > kEps && alpha_[t] < c - kEps) {
+        free_sum += g_[t];
+        free_count += 1.0;
+      } else if (alpha_[t] <= kEps) {
+        ub = std::min(ub, g_[t]);
+      } else {
+        lb = std::max(lb, g_[t]);
+      }
+    }
+    rho_ = free_count > 0.0 ? free_sum / free_count : (ub + lb) / 2.0;
+  }
+
+  double decision(std::span<const double> row) const {
+    const std::vector<double> z =
+        scaler_.transform(std::vector<double>(row.begin(), row.end()));
+    double sum = 0.0;
+    for (std::size_t i = 0; i < x_.rows(); ++i)
+      sum += alpha_[i] * kernel_eval(p_.kernel, gamma_, x_.row(i), z);
+    return sum - rho_;
+  }
+
+  const std::vector<double>& alpha() const { return alpha_; }
+  double rho() const { return rho_; }
+  bool converged() const { return converged_; }
+
+ private:
+  static constexpr double kEps = 1e-12;
+  OcsvmParams p_;
+  StandardScaler scaler_;
+  Matrix x_;
+  std::vector<double> alpha_, g_;
+  double gamma_ = 0.0, rho_ = 0.0;
+  bool converged_ = false;
+};
 
 Matrix random_training_matrix(std::size_t l, std::size_t d,
                               std::uint64_t seed) {
@@ -264,6 +363,11 @@ Matrix shape_matrix(const Shape& s, std::vector<std::size_t>& group) {
   return x;
 }
 
+// At a tight tolerance the dual is solved to well below the comparison
+// threshold, so rho, every decision value and the alpha mass of each group
+// of identical rows agree with the oracle to 1e-9. (Per-variable alpha is
+// not unique when rows repeat: any split of a group's mass among its rows
+// is optimal.)
 class FlatVsReference : public ::testing::TestWithParam<Shape> {};
 
 TEST_P(FlatVsReference, AlphaRhoAndDecisionsAgree) {
@@ -276,12 +380,10 @@ TEST_P(FlatVsReference, AlphaRhoAndDecisionsAgree) {
   params.nu = 0.1;
   params.tol = 1e-12;
 
-  params.reference = true;
-  OneClassSvm ref(params);
+  NaiveOcsvm ref(params);
   ref.fit(x);
   ASSERT_TRUE(ref.converged());
 
-  params.reference = false;
   OneClassSvm opt(params);
   opt.fit(x);
   ASSERT_TRUE(opt.converged());
@@ -299,14 +401,14 @@ TEST_P(FlatVsReference, AlphaRhoAndDecisionsAgree) {
   // Decisions on the training rows and on unseen queries: the compact-SV
   // evaluation must match the full-training-set sums.
   Matrix queries = random_training_matrix(32, d, 0xab + d);
-  std::vector<double> ref_train = ref.decision_batch(x);
   std::vector<double> opt_train = opt.decision_batch(x);
-  std::vector<double> ref_query = ref.decision_batch(queries);
   std::vector<double> opt_query = opt.decision_batch(queries);
   for (std::size_t i = 0; i < l; ++i)
-    EXPECT_NEAR(ref_train[i], opt_train[i], 1e-9) << "train row " << i;
+    EXPECT_NEAR(ref.decision(x.row(i)), opt_train[i], 1e-9)
+        << "train row " << i;
   for (std::size_t i = 0; i < queries.rows(); ++i)
-    EXPECT_NEAR(ref_query[i], opt_query[i], 1e-9) << "query row " << i;
+    EXPECT_NEAR(ref.decision(queries.row(i)), opt_query[i], 1e-9)
+        << "query row " << i;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -316,7 +418,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{1137, 22, 33}));
 
 // Figure 5(a) end to end: the ranking table must be identical whether the
-// detector runs the reference or the optimized path — up to numerical
+// analysis runs the oracle or the production detector — up to numerical
 // ties. Many intervals share identical (or symmetric) feature rows, so
 // their decision values coincide in exact arithmetic; their relative order
 // then depends on floating-point summation order and is interchangeable.
@@ -332,11 +434,11 @@ TEST(FlatVsReferencePipeline, Fig5aRankingOrderIdentical) {
   for (std::size_t i = 0; i < r.runs.size(); ++i)
     traces.push_back({&r.runs[i].sensor_trace, i});
 
-  auto ranking_with = [&](bool reference) {
-    OcsvmParams params;
-    params.reference = reference;
+  auto ranking_with = [&](bool oracle) {
     pipeline::AnalysisOptions options;
-    options.detector = std::make_shared<OneClassSvm>(params);
+    options.detector = oracle ? std::shared_ptr<core::OutlierDetector>(
+                                    std::make_shared<NaiveOcsvm>())
+                              : std::make_shared<OneClassSvm>();
     pipeline::AnalysisReport report =
         pipeline::analyze(traces, os::irq::kAdc, options);
     return report.ranking;
@@ -347,7 +449,7 @@ TEST(FlatVsReferencePipeline, Fig5aRankingOrderIdentical) {
   ASSERT_GT(ref.size(), 100u);
   ASSERT_EQ(ref.size(), opt.size());
 
-  // Split the reference ranking into tie classes: a gap larger than the
+  // Split the oracle's ranking into tie classes: a gap larger than the
   // noise band starts a new class. Within each class the two rankings must
   // hold the same set of samples; the class sequence itself is the table.
   constexpr double kTieEps = 1e-7;  // 10x the default solver tolerance
@@ -372,17 +474,17 @@ TEST(FlatVsReferencePipeline, Fig5aRankingOrderIdentical) {
   EXPECT_GE(classes, 4u);
 }
 
-// Figures 5(b) and 5(c): the buggy intervals land at the same ranks on
-// both paths. (The clean intervals of these cases form near-degenerate
+// Figures 5(b) and 5(c): the buggy intervals land at the same ranks under
+// the oracle and the production detector. (The clean intervals of these cases form near-degenerate
 // duplicate groups whose decision values tie within ~sqrt(tol), so their
 // internal order is noise; the figures' content is where the bugs rank.)
 TEST(FlatVsReferencePipeline, Fig5bcBugRanksIdentical) {
   auto bug_ranks_with = [](const std::vector<pipeline::TaggedTrace>& traces,
-                           std::uint8_t line, bool reference) {
-    OcsvmParams params;
-    params.reference = reference;
+                           std::uint8_t line, bool oracle) {
     pipeline::AnalysisOptions options;
-    options.detector = std::make_shared<OneClassSvm>(params);
+    options.detector = oracle ? std::shared_ptr<core::OutlierDetector>(
+                                    std::make_shared<NaiveOcsvm>())
+                              : std::make_shared<OneClassSvm>();
     return pipeline::analyze(traces, line, options).bug_ranks();
   };
   {

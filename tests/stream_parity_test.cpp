@@ -42,9 +42,10 @@ pipeline::AnalysisReport stream_traces(
   }
   for (std::size_t k = 0; k < longest; ++k) {
     for (std::size_t i = 0; i < traces.size(); ++i) {
-      if (k < frames[i].size())
+      if (k < frames[i].size()) {
         EXPECT_EQ(ingest.offer(static_cast<std::uint32_t>(i), frames[i][k]),
                   stream::Admit::Accepted);
+      }
     }
     ingest.tick();
   }
@@ -70,7 +71,9 @@ void expect_reports_identical(const pipeline::AnalysisReport& streamed,
     const pipeline::Sample& s = streamed.samples[i];
     const pipeline::Sample& b = batch.samples[i];
     EXPECT_EQ(s.node_id, b.node_id) << "sample " << i;
-    if (compare_run) EXPECT_EQ(s.run, b.run) << "sample " << i;
+    if (compare_run) {
+      EXPECT_EQ(s.run, b.run) << "sample " << i;
+    }
     EXPECT_EQ(s.has_bug, b.has_bug) << "sample " << i;
     EXPECT_EQ(s.bug_kinds, b.bug_kinds) << "sample " << i;
     const core::EventInterval& p = s.interval;

@@ -304,9 +304,10 @@ TEST(Framing, FuzzedStreamLeavesSiblingBitIdentical) {
     stream::FleetIngest ingest(config);
     for (std::size_t i = 0; i < clean_frames.size(); ++i) {
       EXPECT_EQ(ingest.offer(0, clean_frames[i]), stream::Admit::Accepted);
-      if (with_victim && i < victim_frames.size())
+      if (with_victim && i < victim_frames.size()) {
         EXPECT_EQ(ingest.offer(1, victim_frames[i]),
                   stream::Admit::Accepted);
+      }
       ingest.tick();
     }
     ingest.finish_all();
