@@ -2,10 +2,16 @@
 // WorldArena trace recycling, and the pooled-vs-fresh parity battery — a
 // reused/reset world must emit bit-identical traces and CampaignStats to a
 // freshly constructed one across all three Fig-5 cases, with and without
-// fault injection, serial and parallel.
+// fault injection, serial and parallel. The battery's fresh leg is also
+// held to tests/golden/case_runner_stats.txt, which pins what each case
+// runner simulates and analyzes; regenerate after an intentional change
+// with:
+//   SENT_UPDATE_GOLDEN=1 ./worker_pool_test
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -142,15 +148,38 @@ TEST(WorldArena, RecycledBuffersAreScrubbed) {
 
 // ---- pooled-vs-fresh parity battery ---------------------------------------
 
+/// One fixture line: a campaign's rank-free outcome. First ranks are left
+/// out on purpose: one chaos case-III seed's rank moves at the solver's
+/// residual scale between optimized and sanitizer builds, while every
+/// field printed here agrees across them.
+std::string stats_line(const std::string& name, double intensity,
+                       const CampaignStats& s) {
+  std::ostringstream os;
+  os << "case=" << name << " intensity=" << intensity << " runs=" << s.runs
+     << " triggered=" << s.triggered << " failed=" << s.failed
+     << " timed_out=" << s.timed_out << " retried=" << s.retried
+     << " degraded=" << s.degraded << " quarantined=" << s.quarantined
+     << " failures=" << s.failures.size() << '\n';
+  for (const RunFailure& f : s.failures)
+    os << "  seed=" << f.seed << " status="
+       << (f.status == RunStatus::TimedOut ? "timed_out" : "failed")
+       << " message=" << f.message << '\n';
+  return os.str();
+}
+
 // The tentpole guarantee: the pooled factories produce bit-identical
 // CampaignStats to the historic fresh-construction path across all three
 // Fig-5 cases, clean and under fault injection, at --jobs 1 and 4. The
 // chaos leg runs enough seeds that trace truncation and corruption both
 // fire, so the pooled salvage path (loads into recycled arena buffers) is
 // exercised on broken traces; the fault injector's obs counters prove it.
+// Both legs share the runner, so the fresh leg is also compared with the
+// committed fixture: a runner that simulated or analyzed the wrong thing
+// would agree with itself but not with it.
 TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
   obs::Registry& registry = obs::Registry::global();
   registry.set_enabled(true);
+  std::string fixture_text;
   for (const std::string name : {"I", "II", "III"}) {
     for (double intensity : {0.0, 0.5}) {
       CaseRunnerConfig pooled;
@@ -168,6 +197,7 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
       registry.reset();
       CampaignStats golden =
           run_campaign(make_case_runner_factory(name, fresh), options);
+      fixture_text += stats_line(name, intensity, golden);
       if (intensity > 0.0) {
         const obs::Snapshot faults = registry.snapshot();
         EXPECT_GT(faults.counter_value("fault.trace_truncations"), 0u)
@@ -187,6 +217,21 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
     }
   }
   registry.set_enabled(false);
+
+  const std::string path =
+      std::string(SENT_GOLDEN_DIR) + "/case_runner_stats.txt";
+  if (std::getenv("SENT_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << path;
+    out << fixture_text;
+    GTEST_SKIP() << "regenerated " << path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in) << "missing fixture " << path
+                  << " (regenerate with SENT_UPDATE_GOLDEN=1)";
+  std::ostringstream expected;
+  expected << in.rdbuf();
+  EXPECT_EQ(fixture_text, expected.str());
 }
 
 // The obs counters flush at the same run boundaries either way (reset for
