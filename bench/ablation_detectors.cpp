@@ -53,12 +53,12 @@ std::vector<NamedDetector> detectors(std::size_t jobs) {
 }
 
 void report_rows(util::Table& table, const std::string& case_name,
-                 const std::vector<pipeline::TaggedTrace>& traces,
-                 trace::IrqLine line, std::size_t jobs) {
+                 const apps::Analysis& analyzed, std::size_t jobs) {
   for (const auto& d : detectors(jobs)) {
     pipeline::AnalysisOptions options;
     options.detector = d.make();
-    pipeline::AnalysisReport report = analyze(traces, line, options);
+    pipeline::AnalysisReport report =
+        pipeline::analyze(analyzed.traces, analyzed.line, options);
     table.add_row({case_name, d.name, util::cell(report.samples.size()),
                    util::cell(report.buggy_count()),
                    util::cell(report.first_bug_rank()),
@@ -81,30 +81,16 @@ int main(int argc, char** argv) {
   util::Table table({"case", "detector", "samples", "buggy",
                      "first bug rank", "depth for all", "precision@5"});
 
-  {
-    apps::Case1Config config;
-    config.seed = seed;
-    apps::Case1Result r = apps::run_case1(config);
-    std::vector<pipeline::TaggedTrace> traces;
-    for (std::size_t i = 0; i < r.runs.size(); ++i)
-      traces.push_back({&r.runs[i].sensor_trace, i});
-    report_rows(table, "I data-pollution", traces, os::irq::kAdc, jobs);
-  }
-  {
-    apps::Case2Config config;
-    config.seed = 3;
-    apps::Case2Result r = apps::run_case2(config);
-    std::vector<pipeline::TaggedTrace> traces{{&r.relay_trace, 0}};
-    report_rows(table, "II busy-drop", traces, os::irq::kRadioSpi, jobs);
-  }
-  {
-    apps::Case3Config config;
-    config.seed = seed;
-    apps::Case3Result r = apps::run_case3(config);
-    std::vector<pipeline::TaggedTrace> traces;
-    for (net::NodeId src : r.sources)
-      traces.push_back({&r.traces[src], 0});
-    report_rows(table, "III ctp-hang", traces, r.report_line, jobs);
+  const struct {
+    const char* name;
+    apps::Scenario scenario;
+    std::uint64_t seed;
+  } cases[] = {{"I data-pollution", apps::Case1Config{}, seed},
+               {"II busy-drop", apps::Case2Config{}, 3},
+               {"III ctp-hang", apps::Case3Config{}, seed}};
+  for (const auto& c : cases) {
+    const apps::Simulation sim = apps::simulate(c.scenario, c.seed);
+    report_rows(table, c.name, sim.analyzed, jobs);
   }
 
   std::fputs(table.render().c_str(), stdout);

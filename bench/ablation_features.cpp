@@ -16,15 +16,15 @@ using namespace sent;
 namespace {
 
 void report_rows(util::Table& table, const std::string& case_name,
-                 const std::vector<pipeline::TaggedTrace>& traces,
-                 trace::IrqLine line, std::size_t jobs) {
+                 const apps::Analysis& analyzed, std::size_t jobs) {
   for (pipeline::FeatureKind kind :
        {pipeline::FeatureKind::InstructionCounter,
         pipeline::FeatureKind::CodeObject, pipeline::FeatureKind::Coarse}) {
     pipeline::AnalysisOptions options;
     options.features = kind;
     options.detector = pipeline::default_detector(jobs);
-    pipeline::AnalysisReport report = analyze(traces, line, options);
+    pipeline::AnalysisReport report =
+        pipeline::analyze(analyzed.traces, analyzed.line, options);
     table.add_row({case_name, pipeline::to_string(kind),
                    util::cell(report.feature_dim),
                    util::cell(report.first_bug_rank()),
@@ -46,21 +46,15 @@ int main(int argc, char** argv) {
   util::Table table(
       {"case", "features", "dim", "first bug rank", "precision@5"});
 
-  {
-    apps::Case1Config config;
-    config.seed = seed;
-    apps::Case1Result r = apps::run_case1(config);
-    std::vector<pipeline::TaggedTrace> traces;
-    for (std::size_t i = 0; i < r.runs.size(); ++i)
-      traces.push_back({&r.runs[i].sensor_trace, i});
-    report_rows(table, "I data-pollution", traces, os::irq::kAdc, jobs);
-  }
-  {
-    apps::Case2Config config;
-    config.seed = 3;
-    apps::Case2Result r = apps::run_case2(config);
-    std::vector<pipeline::TaggedTrace> traces{{&r.relay_trace, 0}};
-    report_rows(table, "II busy-drop", traces, os::irq::kRadioSpi, jobs);
+  const struct {
+    const char* name;
+    apps::Scenario scenario;
+    std::uint64_t seed;
+  } cases[] = {{"I data-pollution", apps::Case1Config{}, seed},
+               {"II busy-drop", apps::Case2Config{}, 3}};
+  for (const auto& c : cases) {
+    const apps::Simulation sim = apps::simulate(c.scenario, c.seed);
+    report_rows(table, c.name, sim.analyzed, jobs);
   }
 
   std::fputs(table.render().c_str(), stdout);

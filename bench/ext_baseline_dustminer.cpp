@@ -29,33 +29,13 @@ struct LabeledCase {
   std::vector<std::string> names;
 };
 
-LabeledCase build_case1(std::uint64_t seed) {
-  apps::Case1Config config;
-  config.seed = seed;
-  config.sample_periods_ms = {20};
-  apps::Case1Result r = apps::run_case1(config);
-  const trace::NodeTrace& t = r.runs[0].sensor_trace;
+/// The case's analyzed trace at `seed`, cut into code-object sequences
+/// per interval and labelled from its bug markers.
+LabeledCase build_case(const apps::Scenario& scenario, std::uint64_t seed) {
+  const apps::Simulation sim = apps::simulate(scenario, seed);
+  const trace::NodeTrace& t = *sim.analyzed.traces.front().trace;
   core::Anatomizer anatomizer(t);
-  auto intervals = anatomizer.intervals_for(os::irq::kAdc);
-  LabeledCase c;
-  c.sequences = ml::code_object_sequences(t, intervals, &c.names);
-  for (const auto& interval : intervals) {
-    bool bad = false;
-    for (const auto& bug : t.bugs)
-      bad |= bug.cycle >= interval.start_cycle &&
-             bug.cycle <= interval.end_cycle;
-    c.truth.push_back(bad);
-  }
-  return c;
-}
-
-LabeledCase build_case2(std::uint64_t seed) {
-  apps::Case2Config config;
-  config.seed = seed;
-  apps::Case2Result r = apps::run_case2(config);
-  const trace::NodeTrace& t = r.relay_trace;
-  core::Anatomizer anatomizer(t);
-  auto intervals = anatomizer.intervals_for(os::irq::kRadioSpi);
+  auto intervals = anatomizer.intervals_for(sim.analyzed.line);
   LabeledCase c;
   c.sequences = ml::code_object_sequences(t, intervals, &c.names);
   for (const auto& interval : intervals) {
@@ -126,12 +106,16 @@ int main(int argc, char** argv) {
   LabeledCase case1, case2;
   const bool want1 = which == "I" || which == "all";
   const bool want2 = which == "II" || which == "all";
+  apps::Case1Config case1_config;
+  case1_config.sample_periods_ms = {20};
   {
     util::ThreadPool pool(want1 && want2 ? std::min<std::size_t>(jobs, 2)
                                          : 1);
     std::vector<std::function<void()>> builds;
-    if (want1) builds.push_back([&] { case1 = build_case1(seed); });
-    if (want2) builds.push_back([&] { case2 = build_case2(3); });
+    if (want1)
+      builds.push_back([&] { case1 = build_case(case1_config, seed); });
+    if (want2)
+      builds.push_back([&] { case2 = build_case(apps::Case2Config{}, 3); });
     pool.parallel_for(builds.size(),
                       [&](std::size_t i) { builds[i](); });
   }

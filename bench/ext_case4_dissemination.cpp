@@ -35,13 +35,14 @@ int main(int argc, char** argv) {
   apps::Case4Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.run_seconds = cli.get_double("run-seconds");
-  config.fixed = cli.get_switch("fixed");
+  const bool fixed = cli.get_switch("fixed");
+  if (fixed) config.app.mutation = apps::DissMutation::None;
 
   bench::section("Extension E5: torn updates in Trickle dissemination");
   std::printf("9 nodes (3x3 grid), publisher = 0; %g s; seed %llu%s\n",
               config.run_seconds,
               static_cast<unsigned long long>(config.seed),
-              config.fixed ? "; FIXED variant" : "");
+              fixed ? "; FIXED variant" : "");
 
   apps::Case4Result result = apps::run_case4(config);
 
@@ -60,15 +61,13 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(result.total_torn()),
       result.corruption_node_seconds);
 
-  std::vector<pipeline::TaggedTrace> traces;
-  for (const auto& t : result.traces) traces.push_back({&t, 0});
-
+  const apps::Analysis analyzed = apps::analysis_of(result);
   pipeline::AnalysisOptions options;
   ml::OcsvmParams params;
   params.nu = 0.1;
   options.detector = std::make_shared<ml::OneClassSvm>(params);
-  auto flash_line = static_cast<trace::IrqLine>(result.trickle_line + 1);
-  pipeline::AnalysisReport report = analyze(traces, flash_line, options);
+  pipeline::AnalysisReport report =
+      pipeline::analyze(analyzed.traces, analyzed.line, options);
 
   bench::section(
       "Ranking over FLASH-READY intervals (index = [node, instance])");
@@ -83,7 +82,7 @@ int main(int argc, char** argv) {
 
   // Contrast: the Trickle timer's own intervals cannot see the tear.
   pipeline::AnalysisReport blind =
-      analyze(traces, result.trickle_line, options);
+      pipeline::analyze(analyzed.traces, result.trickle_line, options);
   bench::section("Contrast: Trickle-timer intervals (wrong event type)");
   std::printf(
       "same traces, %zu intervals: first buggy interval at rank %zu of "

@@ -126,7 +126,7 @@ int main(int argc, char** argv) {
         params += name + "=" + value;
       }
       table.add_row(
-          {v.id, corpus::to_string(v.bug_class), v.case_tag, v.marker,
+          {v.id, corpus::to_string(v.bug_class), v.case_tag(), v.marker,
            params});
     }
     std::fputs(table.render().c_str(), stdout);

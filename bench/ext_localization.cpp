@@ -17,13 +17,12 @@ using namespace sent;
 
 namespace {
 
-void run_case(const std::string& title,
-              const std::vector<pipeline::TaggedTrace>& traces,
-              trace::IrqLine line, std::size_t k,
-              const std::string& expected_object) {
+void run_case(const std::string& title, const apps::Analysis& analyzed,
+              std::size_t k, const std::string& expected_object) {
   pipeline::AnalysisOptions options;
   options.keep_features = true;
-  pipeline::AnalysisReport report = analyze(traces, line, options);
+  pipeline::AnalysisReport report =
+      pipeline::analyze(analyzed.traces, analyzed.line, options);
   core::Localization loc = pipeline::localize_top_k(report, k);
 
   bench::section(title);
@@ -53,32 +52,21 @@ int main(int argc, char** argv) {
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   auto k = static_cast<std::size_t>(cli.get_int("top-k"));
 
-  {
-    apps::Case1Config config;
-    config.seed = seed;
-    apps::Case1Result r = apps::run_case1(config);
-    std::vector<pipeline::TaggedTrace> traces;
-    for (std::size_t i = 0; i < r.runs.size(); ++i)
-      traces.push_back({&r.runs[i].sensor_trace, i});
-    run_case("E1 / case I: localize the data pollution", traces,
-             os::irq::kAdc, k, "Read.readDone");
-  }
-  {
-    apps::Case2Config config;
-    config.seed = 3;
-    apps::Case2Result r = apps::run_case2(config);
-    run_case("E1 / case II: localize the active drop",
-             {{&r.relay_trace, 0}}, os::irq::kRadioSpi, k,
-             "Receive.receive");
-  }
-  {
-    apps::Case3Config config;
-    config.seed = seed;
-    apps::Case3Result r = apps::run_case3(config);
-    std::vector<pipeline::TaggedTrace> traces;
-    for (net::NodeId src : r.sources) traces.push_back({&r.traces[src], 0});
-    run_case("E1 / case III: localize the unhandled FAIL", traces,
-             r.report_line, /*k=*/1, "CtpForwardingEngine.sendTask");
+  const struct {
+    const char* title;
+    apps::Scenario scenario;
+    std::uint64_t seed;
+    std::size_t k;
+    const char* expected_object;
+  } cases[] = {{"E1 / case I: localize the data pollution",
+                apps::Case1Config{}, seed, k, "Read.readDone"},
+               {"E1 / case II: localize the active drop", apps::Case2Config{},
+                3, k, "Receive.receive"},
+               {"E1 / case III: localize the unhandled FAIL",
+                apps::Case3Config{}, seed, 1, "CtpForwardingEngine.sendTask"}};
+  for (const auto& c : cases) {
+    const apps::Simulation sim = apps::simulate(c.scenario, c.seed);
+    run_case(c.title, sim.analyzed, c.k, c.expected_object);
   }
   return 0;
 }

@@ -27,8 +27,9 @@ void run_row(util::Table& table, const std::string& label,
           ? hw::estimate_energy_lpl(r.relay_trace, r.relay_tx_airtime,
                                     config.lpl)
           : hw::estimate_energy(r.relay_trace, r.relay_tx_airtime);
+  const apps::Analysis analyzed = apps::analysis_of(r);
   pipeline::AnalysisReport report =
-      pipeline::analyze({{&r.relay_trace, 0}}, os::irq::kRadioSpi);
+      pipeline::analyze(analyzed.traces, analyzed.line);
   double drop_pct = r.relay_received == 0
                         ? 0.0
                         : 100.0 * double(r.relay_dropped_busy) /

@@ -22,10 +22,11 @@ namespace {
 void run_row(util::Table& table, const std::string& label,
              apps::Case2Config config, std::size_t jobs) {
   apps::Case2Result r = apps::run_case2(config);
+  const apps::Analysis analyzed = apps::analysis_of(r);
   pipeline::AnalysisOptions options;
   options.detector = pipeline::default_detector(jobs);
   pipeline::AnalysisReport report =
-      pipeline::analyze({{&r.relay_trace, 0}}, os::irq::kRadioSpi, options);
+      pipeline::analyze(analyzed.traces, analyzed.line, options);
   table.add_row({label, util::cell(r.relay_received),
                  util::cell(r.relay_dropped_busy),
                  util::cell(report.first_bug_rank()),

@@ -2,8 +2,8 @@
 // ns/event for the simulator (bytecode interpreter, pooled event queue
 // with step lanes), measured on the three Fig-5 case studies.
 //
-// The timed region covers only the simulation (run_caseN), best of --reps
-// runs on one seed. Each case runs through one apps::WorldArena, as a
+// The timed region covers only the simulation (apps::simulate), best of
+// --reps runs on one seed. Each case runs through one apps::WorldArena, as a
 // campaign worker does (DESIGN.md §15), so the event slab and the
 // multi-megabyte instruction streams are recycled and the timed runs
 // measure the simulator, not page faults of growing trace buffers.
@@ -19,6 +19,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/scenarios.hpp"
@@ -30,70 +31,43 @@ using namespace sent;
 
 namespace {
 
-/// What the measurement needs from one simulation run.
-struct Outcome {
-  std::vector<trace::NodeTrace> traces;  ///< every node's, for recycling
-  std::uint64_t instrs = 0;  ///< instructions of the measured nodes
-  std::uint64_t events = 0;
-};
+/// The three Fig-5 case studies in their bench variants. Their measured
+/// nodes are the analyzed traces (case I's sensor, case II's relay, case
+/// III's sources).
+std::vector<std::pair<std::string, apps::Scenario>> bench_scenarios() {
+  apps::Case1Config fig5a;
+  fig5a.sample_periods_ms = {20};  // the vulnerable rate
+  fig5a.run_seconds = 10.0;
+  fig5a.osc.maintenance_heavy_prob = 1.0;
+  fig5a.osc.heavy_iterations = 50000;
+  fig5a.osc.heavy_iteration_cost = 40;
 
-using CaseRunner = Outcome (*)(std::uint64_t seed, apps::WorldArena& arena);
-
-Outcome run_fig5a(std::uint64_t seed, apps::WorldArena& arena) {
-  apps::Case1Config config;
-  config.seed = seed;
-  config.sample_periods_ms = {20};  // the vulnerable rate
-  config.run_seconds = 10.0;
-  config.osc.maintenance_heavy_prob = 1.0;
-  config.osc.heavy_iterations = 50000;
-  config.osc.heavy_iteration_cost = 40;
-  apps::Case1Result r = apps::run_case1(config, &arena);
-  Outcome out;
-  out.instrs = r.runs[0].sensor_trace.instrs.size();
-  out.traces.push_back(std::move(r.runs[0].sensor_trace));
-  out.events = r.events_executed;
-  return out;
-}
-
-Outcome run_fig5b(std::uint64_t seed, apps::WorldArena& arena) {
-  apps::Case2Config config;
-  config.seed = seed;
   // Bench variant of the Fig-5b workload: large sensor reports. The relay
   // checksums one byte per loop iteration, so the payload range sets the
   // instruction density of the run (the busy-drop bug itself is
   // payload-agnostic).
-  config.min_payload_bytes = 1024;
-  config.max_payload_bytes = 2048;
-  config.mean_interval_ms = 80.0;
-  apps::Case2Result r = apps::run_case2(config, &arena);
-  Outcome out;
-  out.instrs = r.relay_trace.instrs.size();
-  out.traces.push_back(std::move(r.relay_trace));
-  out.events = r.events_executed;
-  return out;
-}
+  apps::Case2Config fig5b;
+  fig5b.min_payload_bytes = 1024;
+  fig5b.max_payload_bytes = 2048;
+  fig5b.mean_interval_ms = 80.0;
 
-Outcome run_fig5c(std::uint64_t seed, apps::WorldArena& arena) {
-  apps::Case3Config config;
-  config.seed = seed;
   // Bench variant of the Fig-5c workload: every non-root node reports at a
   // high rate, so the anatomized report handler (sample + encode loop)
   // dominates the run rather than radio airtime.
-  config.num_sources = 8;
-  config.app.report_period = sim::cycles_from_millis(8);
-  config.app.report_stagger = config.app.report_period / 9;
-  config.app.mean_event_on = sim::cycles_from_millis(10000);
-  config.app.mean_event_off = sim::cycles_from_millis(500);
-  config.app.encode_words = 8;
-  config.app.heartbeat_period = sim::cycles_from_millis(3000);
-  config.app.beacon_period = sim::cycles_from_millis(4000);
-  config.app.heartbeat_padding = 8;
-  apps::Case3Result r = apps::run_case3(config, &arena);
-  Outcome out;
-  for (net::NodeId src : r.sources) out.instrs += r.traces[src].instrs.size();
-  out.traces = std::move(r.traces);
-  out.events = r.events_executed;
-  return out;
+  apps::Case3Config fig5c;
+  fig5c.num_sources = 8;
+  fig5c.app.report_period = sim::cycles_from_millis(8);
+  fig5c.app.report_stagger = fig5c.app.report_period / 9;
+  fig5c.app.mean_event_on = sim::cycles_from_millis(10000);
+  fig5c.app.mean_event_off = sim::cycles_from_millis(500);
+  fig5c.app.encode_words = 8;
+  fig5c.app.heartbeat_period = sim::cycles_from_millis(3000);
+  fig5c.app.beacon_period = sim::cycles_from_millis(4000);
+  fig5c.app.heartbeat_padding = 8;
+
+  return {{"case I (D=20ms, 10s)", fig5a},
+          {"case II (20s)", fig5b},
+          {"case III (9 nodes, 15s)", fig5c}};
 }
 
 /// One case's measurement.
@@ -128,25 +102,26 @@ struct CaseResult {
 /// few runs every banked buffer fits whichever node draws it.
 constexpr int kWarmupRuns = 4;
 
-CaseResult run_case(const std::string& name, CaseRunner runner,
+CaseResult run_case(const std::string& name, const apps::Scenario& scenario,
                     std::uint64_t seed, int reps) {
   CaseResult result;
   result.name = name;
   apps::WorldArena arena;
   for (int warmup = 0; warmup < kWarmupRuns; ++warmup) {
-    Outcome out = runner(seed, arena);
-    arena.recycle_all(out.traces);
+    apps::Simulation sim = apps::simulate(scenario, seed, &arena);
+    arena.recycle_all(sim.traces);
   }
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
-    Outcome out = runner(seed, arena);
+    apps::Simulation sim = apps::simulate(scenario, seed, &arena);
     double wall = bench::seconds_since(t0);
     if (rep == 0 || wall < result.wall_seconds) result.wall_seconds = wall;
     if (rep == 0) {
-      result.instrs = out.instrs;
-      result.events = out.events;
+      for (const trace::TaggedTrace& t : sim.analyzed.traces)
+        result.instrs += t.trace->instrs.size();
+      result.events = sim.events_executed;
     }
-    arena.recycle_all(out.traces);
+    arena.recycle_all(sim.traces);
   }
   std::printf("%-26s %7.2f vMIPS %6.1f ns/ev %9.0f ev/s  %7.3fs  "
               "(%llu instrs, %llu events)\n",
@@ -200,9 +175,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed), reps);
 
   std::vector<CaseResult> cases;
-  cases.push_back(run_case("case I (D=20ms, 10s)", run_fig5a, seed, reps));
-  cases.push_back(run_case("case II (20s)", run_fig5b, seed, reps));
-  cases.push_back(run_case("case III (9 nodes, 15s)", run_fig5c, seed, reps));
+  for (const auto& [name, scenario] : bench_scenarios())
+    cases.push_back(run_case(name, scenario, seed, reps));
 
   bool ok = true;
   for (const CaseResult& c : cases) {

@@ -30,13 +30,14 @@ int main(int argc, char** argv) {
   apps::Case1Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.run_seconds = cli.get_double("run-seconds");
-  config.fixed = cli.get_switch("fixed");
+  const bool fixed = cli.get_switch("fixed");
+  if (fixed) config.osc.mutation = apps::OscMutation::None;
 
   bench::section("Case study I: data pollution (Figure 5a)");
   std::printf("testing runs: D = 20, 40, 60, 80, 100 ms; %g s each; seed %llu%s\n",
               config.run_seconds,
               static_cast<unsigned long long>(config.seed),
-              config.fixed ? "; FIXED variant" : "");
+              fixed ? "; FIXED variant" : "");
 
   apps::Case1Result result = apps::run_case1(config);
 
@@ -55,10 +56,9 @@ int main(int argc, char** argv) {
   }
   std::fputs(runs_table.render().c_str(), stdout);
 
-  std::vector<pipeline::TaggedTrace> traces;
-  for (std::size_t r = 0; r < result.runs.size(); ++r)
-    traces.push_back({&result.runs[r].sensor_trace, r});
-  pipeline::AnalysisReport report = analyze(traces, os::irq::kAdc);
+  const apps::Analysis analyzed = apps::analysis_of(result);
+  pipeline::AnalysisReport report =
+      pipeline::analyze(analyzed.traces, analyzed.line);
 
   bench::section("Ranking (ascending score; index = [run, instance])");
   std::fputs(format_ranking_table(report, /*with_run=*/true,

@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.run_seconds = cli.get_double("run-seconds");
   config.mean_interval_ms = cli.get_double("mean-interval-ms");
-  config.fixed = cli.get_switch("fixed");
+  const bool fixed = cli.get_switch("fixed");
+  if (fixed) config.relay_mutation = apps::RelayMutation::None;
 
   bench::section("Case study II: busy-flag packet drop (Figure 5b)");
   std::printf(
@@ -41,7 +42,7 @@ int main(int argc, char** argv) {
       "%g ms; seed %llu%s\n",
       config.run_seconds, config.mean_interval_ms,
       static_cast<unsigned long long>(config.seed),
-      config.fixed ? "; FIXED variant" : "");
+      fixed ? "; FIXED variant" : "");
 
   apps::Case2Result result = apps::run_case2(config);
 
@@ -54,11 +55,11 @@ int main(int argc, char** argv) {
                  util::cell(result.sink_received)});
   std::fputs(stats.render().c_str(), stdout);
 
-  std::vector<pipeline::TaggedTrace> traces{{&result.relay_trace, 0}};
+  const apps::Analysis analyzed = apps::analysis_of(result);
   pipeline::AnalysisOptions options;
   options.keep_features = true;  // for the rank-1 inspection rendering
   pipeline::AnalysisReport report =
-      analyze(traces, os::irq::kRadioSpi, options);
+      pipeline::analyze(analyzed.traces, analyzed.line, options);
 
   bench::section("Ranking (ascending score; index = packet arrival #)");
   std::fputs(format_ranking_table(report, /*with_run=*/false,

@@ -31,13 +31,14 @@ int main(int argc, char** argv) {
   apps::Case3Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.run_seconds = cli.get_double("run-seconds");
-  config.fixed = cli.get_switch("fixed");
+  const bool fixed = cli.get_switch("fixed");
+  if (fixed) config.app.mutation = apps::CtpMutation::None;
 
   bench::section("Case study III: CTP + heartbeat contention (Figure 5c)");
   std::printf("9 nodes (3x3 grid), root = 0; %g s; seed %llu%s\n",
               config.run_seconds,
               static_cast<unsigned long long>(config.seed),
-              config.fixed ? "; FIXED variant" : "");
+              fixed ? "; FIXED variant" : "");
 
   apps::Case3Result result = apps::run_case3(config);
 
@@ -57,10 +58,9 @@ int main(int argc, char** argv) {
   std::printf("packets delivered to root: %llu\n",
               static_cast<unsigned long long>(result.delivered_to_root));
 
-  std::vector<pipeline::TaggedTrace> traces;
-  for (net::NodeId src : result.sources)
-    traces.push_back({&result.traces[src], 0});
-  pipeline::AnalysisReport report = analyze(traces, result.report_line);
+  const apps::Analysis analyzed = apps::analysis_of(result);
+  pipeline::AnalysisReport report =
+      pipeline::analyze(analyzed.traces, analyzed.line);
 
   bench::section("Ranking (ascending score; index = [node, instance])");
   std::fputs(format_ranking_table(report, /*with_run=*/false,
@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
   std::vector<pipeline::TaggedTrace> all_traces;
   for (const auto& t : result.traces) all_traces.push_back({&t, 0});
   pipeline::AnalysisReport spi_report =
-      analyze(all_traces, os::irq::kRadioSpi);
+      pipeline::analyze(all_traces, os::irq::kRadioSpi);
   bench::print_quality(spi_report);
 
   if (cli.get_switch("csv")) {

@@ -26,10 +26,11 @@ int main(int argc, char** argv) {
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   config.sample_periods_ms = {20};  // one aggressive run
   config.run_seconds = 20.0;
-  config.fixed = cli.get_switch("fixed");
+  const bool fixed = cli.get_switch("fixed");
+  if (fixed) config.osc.mutation = apps::OscMutation::None;
 
   std::printf("running Oscilloscope (%s firmware), D = 20 ms, 20 s...\n",
-              config.fixed ? "repaired" : "buggy");
+              fixed ? "repaired" : "buggy");
   apps::Case1Result result = apps::run_case1(config);
   const apps::Case1Run& run = result.runs[0];
   std::printf("%llu readings, %llu packets sent, %llu reached the sink\n",

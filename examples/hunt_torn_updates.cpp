@@ -26,10 +26,11 @@ int main(int argc, char** argv) {
 
   apps::Case4Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.fixed = cli.get_switch("fixed");
+  const bool fixed = cli.get_switch("fixed");
+  if (fixed) config.app.mutation = apps::DissMutation::None;
 
   std::printf("disseminating over 9 nodes for %g s (%s firmware)...\n",
-              config.run_seconds, config.fixed ? "repaired" : "buggy");
+              config.run_seconds, fixed ? "repaired" : "buggy");
   apps::Case4Result r = apps::run_case4(config);
   std::printf(
       "%llu versions published; %llu torn broadcasts; %.1f node-seconds "
@@ -70,7 +71,7 @@ int main(int argc, char** argv) {
                                               /*max_timeline_rows=*/20)
                  .c_str(),
              stdout);
-  if (!config.fixed)
+  if (!fixed)
     std::printf(
         "\nThe int(%d) nested inside the adopt task's window is the "
         "Trickle\nbroadcast reading the half-written pair.\n",

@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     apps::CtpHeartbeatConfig config;
     config.is_root = (i == 0);
     config.is_source = (i % 3 == 1);  // a third of the nodes report
-    config.fixed = true;              // repaired CTP: focus on the network
+    config.mutation = apps::CtpMutation::None;  // repaired: focus on the net
     ctp_apps.push_back(std::make_unique<apps::CtpHeartbeatApp>(
         *nodes[i], *chips[i], config,
         rng.substream("app" + std::to_string(i))));

@@ -58,7 +58,8 @@ cmake --build build-asan -j "${JOBS}" \
   journal_test cli_test \
   obs_test interval_property_test golden_fig5_test sim_test bytecode_test \
   stream_test stream_parity_test corpus_test \
-  eval_metrics_test ml_test ocsvm_reference_test net_test sim_digest_test
+  eval_metrics_test ml_test ocsvm_reference_test net_test sim_digest_test \
+  apps_test ctp_app_test trickle_test
 ./build-asan/tests/fault_test
 ./build-asan/tests/serialize_test
 ./build-asan/tests/campaign_test
@@ -87,6 +88,13 @@ cmake --build build-asan -j "${JOBS}" \
 # index off by one word cannot hide behind a matching trace.
 ./build-asan/tests/sim_digest_test
 ./build-asan/tests/net_test
+# The case-study apps under ASan/UBSan: each app's program builder picks
+# its bug from the mutation enum, and its host closures capture app state
+# by reference, so a closure outliving its app or reading a field the
+# selected program never set would hide here.
+./build-asan/tests/apps_test
+./build-asan/tests/ctp_app_test
+./build-asan/tests/trickle_test
 # The streaming ingest surface (DESIGN.md §14): the frame-decoder fuzz
 # battery, quarantine/eviction paths, and the batch≡streaming parity suite
 # all run sanitized — hostile bytes and salvage-after-poison are exactly
@@ -251,4 +259,4 @@ cmake --build .bench_build -j "${JOBS}"
 ctest --test-dir .bench_build --output-on-failure
 .bench_build/sentbench --workload chaos-II --seconds 2 --trace 1
 
-echo "tier-1 OK (incl. TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/sim-digest/net/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML kernel floor + vMIPS gate + perfbench tests and traced chaos-II smoke)"
+echo "tier-1 OK (incl. TSan concurrency/obs/stream/worker-pool/corpus + ASan/UBSan fault-surface/property/golden/sim-digest/net/apps/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML kernel floor + vMIPS gate + perfbench tests and traced chaos-II smoke)"

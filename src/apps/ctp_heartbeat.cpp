@@ -9,7 +9,7 @@ CtpHeartbeatApp::CtpHeartbeatApp(os::Node& node, hw::RadioChip& chip,
     : node_(node), chip_(chip), config_(config), rng_(rng) {
   config_.ctp.self = static_cast<net::NodeId>(node_.id());
   config_.ctp.is_root = config_.is_root;
-  repaired_ = config_.fixed && config_.mutation == CtpMutation::None;
+  repaired_ = config_.mutation == CtpMutation::None;
   config_.ctp.fix_send_fail = repaired_;
   ctp_ = std::make_unique<proto::CtpNode>(config_.ctp);
   heartbeat_ = std::make_unique<proto::Heartbeat>(
@@ -46,8 +46,8 @@ void CtpHeartbeatApp::build_code() {
     b.ret("done");
     b.label("fail");
     b.instr("handle_fail", [this] {
-      // Buggy variant: on_send_fail leaves `sending` set — the hang.
-      // Fixed variant: it clears the mark; we arm a retry below.
+      // Buggy app: on_send_fail leaves `sending` set — the hang.
+      // Repaired app: it clears the mark; we arm a retry below.
       if (ctp_->on_send_fail()) node_.mark_bug("ctp-hang");
       sending_mirror_ = ctp_->sending();
       if (repaired_ && !node_.timers().running(retry_line_))
@@ -194,7 +194,7 @@ void CtpHeartbeatApp::build_code() {
     node_.machine().register_handler(heartbeat_line_, id);
   }
 
-  // --- retry timer handler (armed by the fixed variant only) -----------------
+  // --- retry timer handler (armed by the repaired app only) ------------------
   {
     mcu::CodeBuilder b("SendRetryTimer.fired", /*is_task=*/false);
     b.instr("repost", [this] { node_.kernel().post(send_task_); });

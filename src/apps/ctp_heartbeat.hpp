@@ -15,8 +15,8 @@
 // When the chip is busy — e.g. this node's own heartbeat or beacon is
 // still on air — send returns FAIL, which CTP does not handle: the mark is
 // never reset, no send-done will arrive, and the node's CTP hangs forever
-// (proto::CtpNode::on_send_fail). The fixed variant clears the mark and
-// retries after a short delay.
+// (proto::CtpNode::on_send_fail). The repaired app (CtpMutation::None)
+// clears the mark and retries after a short delay.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +30,8 @@
 
 namespace sent::apps {
 
-/// Corpus mutation hook (DESIGN.md §16): reintroduces the unhandled
-/// send-FAIL `sending` hang into the REPAIRED app. `None` leaves the built
-/// program bit-identical to the unmutated app.
+/// Which transient bug the app carries (DESIGN.md §16). `None` is the
+/// repaired app; the config's default is the paper's bug.
 enum class CtpMutation : std::uint8_t {
   None = 0,
   StuckSending,  ///< shared-flag: FAIL path leaves `sending` set forever
@@ -70,12 +69,10 @@ struct CtpHeartbeatConfig {
   /// not depend on report phasing).
   sim::Cycle report_stagger = 0;
 
-  /// Repaired variant: handle FAIL and retry after `retry_delay`.
-  bool fixed = false;
+  /// The bug built into the app; None builds the repaired app, which
+  /// handles FAIL and retries after `retry_delay`.
+  CtpMutation mutation = CtpMutation::StuckSending;
   sim::Cycle retry_delay = sim::cycles_from_millis(10);
-
-  /// Corpus mutation injected on top of the selected variant.
-  CtpMutation mutation = CtpMutation::None;
 
   proto::CtpConfig ctp;  ///< self / is_root filled in by the app
 };
@@ -107,7 +104,7 @@ class CtpHeartbeatApp {
   hw::RadioChip& chip_;
   CtpHeartbeatConfig config_;
   util::Rng rng_;
-  bool repaired_ = false;  ///< fixed AND unmutated: FAIL handled + retried
+  bool repaired_ = false;  ///< unmutated: FAIL handled + retried
 
   std::unique_ptr<proto::CtpNode> ctp_;
   std::unique_ptr<proto::Heartbeat> heartbeat_;

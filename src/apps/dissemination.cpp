@@ -37,8 +37,7 @@ void DisseminationApp::build_code() {
     mcu::CodeBuilder b("adoptTask", /*is_task=*/true);
     b.ret_if_flag("guard_pending", adopt_pending_, false);
     b.instr("write_first", [this] {
-      const bool torn =
-          !config_.fixed || config_.mutation == DissMutation::TornWrite;
+      const bool torn = config_.mutation == DissMutation::TornWrite;
       if (!torn) {
         value_ = pend_value_;  // publish ordering: payload first
       } else {
@@ -54,8 +53,7 @@ void DisseminationApp::build_code() {
     b.branch_if_u32("flash_more", flash_remaining_, mcu::Cmp::Ne, 0,
                     "flash_loop");
     b.instr("write_second", [this] {
-      const bool torn =
-          !config_.fixed || config_.mutation == DissMutation::TornWrite;
+      const bool torn = config_.mutation == DissMutation::TornWrite;
       if (!torn) {
         version_ = pend_version_;  // version last: torn reads are harmless
       } else {

@@ -16,8 +16,8 @@
 // the wrong value, and because their version is now current, the correct
 // summary later looks "consistent" and is suppressed — the corruption is
 // silent and permanent. The canonical fix is publish ordering: commit the
-// value first and write the version LAST (fixed=true), which makes any
-// torn read harmless (old version + anything is simply ignored).
+// value first and write the version LAST (DissMutation::None), which makes
+// any torn read harmless (old version + anything is simply ignored).
 #pragma once
 
 #include <cstdint>
@@ -29,9 +29,8 @@
 
 namespace sent::apps {
 
-/// Corpus mutation hook (DESIGN.md §16): reintroduces the version-before-
-/// value write ordering into the REPAIRED app. `None` leaves the built
-/// program bit-identical to the unmutated app.
+/// Which transient bug the app carries (DESIGN.md §16). `None` is the
+/// repaired app; the config's default is case IV's torn update.
 enum class DissMutation : std::uint8_t {
   None = 0,
   TornWrite,  ///< atomicity: version visible before the committed value
@@ -51,11 +50,9 @@ struct DisseminationConfig {
   std::uint32_t flash_commit_iterations = 25;
   std::uint32_t flash_commit_iteration_cost = 1500;  ///< ~5 ms total
 
-  /// Repaired variant: value first, version last (publish ordering).
-  bool fixed = false;
-
-  /// Corpus mutation injected on top of the selected variant.
-  DissMutation mutation = DissMutation::None;
+  /// The bug built into the app; None builds the repaired app (value
+  /// first, version last: publish ordering).
+  DissMutation mutation = DissMutation::TornWrite;
 };
 
 class DisseminationApp {

@@ -56,18 +56,15 @@ RelayApp::RelayApp(os::Node& node, hw::RadioChip& chip, RelayConfig config)
       build_pop_first();
       break;
     case RelayMutation::BusyDrop:
-      build_buggy();
+      build_busy_drop();
       break;
     case RelayMutation::None:
-      if (config_.fixed)
-        build_fixed();
-      else
-        build_buggy();
+      build_repaired();
       break;
   }
 }
 
-void RelayApp::build_buggy() {
+void RelayApp::build_busy_drop() {
   // The paper's structure: the SPI packet-arrival event procedure calls
   // Receive.receive, which directly calls AMSend.send. No send-done is
   // consumed (fire-and-forget), so every SPI interrupt on this node is a
@@ -120,7 +117,7 @@ void RelayApp::build_buggy() {
   node_.machine().register_handler(os::irq::kRadioSpi, id);
 }
 
-void RelayApp::build_fixed() {
+void RelayApp::build_repaired() {
   // Repaired design: queue arrivals, pump one send at a time, continue
   // from send-done. Requires TxDone signalling.
   chip_.set_signal_txdone(true);

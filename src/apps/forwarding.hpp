@@ -13,8 +13,9 @@
 // set from forwarding the previous packet (the flag spans the whole
 // RTS/CTS/DATA/ACK exchange), AMSend.send fails and the packet is ACTIVELY
 // DROPPED. The paper's fix — "the protocol should queue up a received
-// packet and send it when the busy flag is cleared" — is the fixed=true
-// variant, which buffers arrivals and pumps the queue from send-done.
+// packet and send it when the busy flag is cleared" — is the repaired app
+// (RelayMutation::None), which buffers arrivals and pumps the queue from
+// send-done.
 #pragma once
 
 #include <cstdint>
@@ -65,13 +66,13 @@ class RandomSourceApp {
 
 // ----------------------------------------------------------------- relay
 
-/// Corpus mutation hooks (DESIGN.md §16). Each reintroduces one taxonomy
-/// class of transient bug into the relay; `None` keeps the legacy
-/// fixed/buggy selection by `RelayConfig::fixed` bit-identical.
+/// Which transient bug the relay carries (DESIGN.md §16). Each member but
+/// `None` builds one taxonomy class of bug into the relay; `None` is the
+/// repaired relay. The config's default is the paper's bug.
 enum class RelayMutation : std::uint8_t {
   None = 0,
-  /// Shared-flag race: the legacy drop-on-busy receive path (the paper's
-  /// case-II bug), selectable independently of `fixed`.
+  /// Shared-flag race: the drop-on-busy receive path (the paper's case-II
+  /// bug).
   BusyDrop,
   /// Atomicity: a deferred-forwarding refactor stages each arrival into a
   /// single-slot mailbox the forward task reads — the handler can overwrite
@@ -84,11 +85,11 @@ enum class RelayMutation : std::uint8_t {
 
 struct RelayConfig {
   net::NodeId next_hop = 0;  ///< where forwarded packets go (the sink)
-  bool fixed = false;        ///< queue-and-pump repaired variant
   std::size_t queue_capacity = 8;
 
-  /// Corpus mutation; overrides `fixed`'s program selection when not None.
-  RelayMutation mutation = RelayMutation::None;
+  /// The bug built into the relay; None builds the repaired
+  /// (queue-and-pump) relay.
+  RelayMutation mutation = RelayMutation::BusyDrop;
   /// TornMailbox: cycles per checksum-loop iteration in the forward task.
   /// Stretches the window in which the slot is being read, so the tear
   /// probability is a swept corpus parameter.
@@ -114,7 +115,7 @@ class RelayApp {
   hw::RadioChip& chip_;
   RelayConfig config_;
   hw::RadioChip::Event event_{};
-  std::deque<net::Packet> queue_;  // fixed + PopFirst variants
+  std::deque<net::Packet> queue_;  // repaired + PopFirst relays
   std::uint32_t csum_pos_ = 0;     // checksum-loop scratch register
   std::uint32_t csum_len_ = 0;     // payload length of the taken packet
   std::uint32_t seq_mod8_ = 0;     // event_.packet.seq % 8, set by "take"
@@ -130,8 +131,8 @@ class RelayApp {
   std::uint64_t received_ = 0, forwarded_ = 0, dropped_busy_ = 0,
                 dropped_full_ = 0, torn_overwrites_ = 0, lost_pop_first_ = 0;
 
-  void build_buggy();
-  void build_fixed();
+  void build_busy_drop();
+  void build_repaired();
   void build_torn_mailbox();
   void build_pop_first();
 };

@@ -25,7 +25,7 @@ void OscilloscopeApp::build_code() {
     b.instr("prepare", [this] {
       // Building the payload reads the shared packet buffer — exactly the
       // data the interleaving bug can have polluted by now.
-      // (The fixed variant reads the committed copy instead.)
+      // (The repaired app reads the committed copy instead.)
       if (config_.mutation == OscMutation::LateCommit && !commit_done_) {
         // The deferred commit: correct only if no ADC interrupt has
         // overwritten packet_data_[0] since the post.
@@ -34,8 +34,7 @@ void OscilloscopeApp::build_code() {
       }
     });
     b.instr("send", [this] {
-      const bool live_buffer =
-          !config_.fixed || config_.mutation == OscMutation::SharedBuffer;
+      const bool live_buffer = config_.mutation == OscMutation::SharedBuffer;
       const auto& buf = live_buffer ? packet_data_ : send_buffer_;
       net::Packet p;
       p.dst = config_.sink;
@@ -71,8 +70,7 @@ void OscilloscopeApp::build_code() {
     mcu::CodeBuilder b("Read.readDone", /*is_task=*/false);
     b.instr("store_data", [this] {
       // packet->data[dataItem] = data;
-      const bool live_buffer =
-          !config_.fixed || config_.mutation == OscMutation::SharedBuffer;
+      const bool live_buffer = config_.mutation == OscMutation::SharedBuffer;
       if (send_pending_ && live_buffer) {
         // Ground truth: a committed-but-unsent packet is being overwritten.
         ++pollutions_;
@@ -127,7 +125,7 @@ void OscilloscopeApp::build_code() {
     b.instr("post_send", [this] {
       if (config_.mutation == OscMutation::LateCommit) {
         commit_done_ = false;  // commit deferred into the task (the bug)
-      } else if (config_.fixed) {
+      } else if (config_.mutation != OscMutation::SharedBuffer) {
         send_buffer_ = packet_data_;  // commit a copy
       }
       send_pending_ = true;

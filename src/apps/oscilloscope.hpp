@@ -15,9 +15,9 @@
 // THE BUG: readDone keeps writing into the same packet buffer the posted
 // task will send. If the task is delayed past the next ADC interrupt —
 // e.g. a heavy maintenance task is queued ahead of it — the fourth reading
-// overwrites data[0] before the packet leaves: data pollution. The fixed
-// variant double-buffers (readDone commits the triple into a send buffer
-// when posting), which is the canonical repair.
+// overwrites data[0] before the packet leaves: data pollution. The
+// repaired app (OscMutation::None) double-buffers (readDone commits the
+// triple into a send buffer when posting), which is the canonical repair.
 //
 // The optional "maintenance" event procedure models the paper's "another
 // heavy-weighted event procedure": a low-rate timer that occasionally
@@ -35,14 +35,14 @@
 
 namespace sent::apps {
 
-/// Corpus mutation hooks (DESIGN.md §16). Each reintroduces exactly one
-/// taxonomy class of transient bug into the REPAIRED app (`fixed = true`),
-/// marking ground truth at the manifestation point. `None` leaves the
-/// built program bit-identical to the unmutated app.
+/// Which transient bug the app carries (DESIGN.md §16). Each member but
+/// `None` reintroduces exactly one taxonomy class of bug into the repaired
+/// app, marking ground truth at the manifestation point; `None` is the
+/// repaired app itself. The config's default is the paper's bug.
 enum class OscMutation : std::uint8_t {
   None = 0,
-  /// Atomicity: the send task reads the live packet buffer (the legacy
-  /// Figure-2 bug, selectable independently of `fixed`).
+  /// Atomicity: the send task reads the live packet buffer (the paper's
+  /// Figure-2 bug).
   SharedBuffer,
   /// Ordering: the double-buffer commit is deferred from the posting
   /// handler into the task body — correct only if the task runs before
@@ -68,13 +68,9 @@ struct OscilloscopeConfig {
   std::uint32_t heavy_iterations = 16;
   std::uint32_t heavy_iteration_cost = 18000;  ///< cycles per iteration
 
-  /// Repaired (double-buffered) variant.
-  bool fixed = false;
-
-  /// Corpus mutation injected on top of the selected variant. Mutations
-  /// other than SharedBuffer assume `fixed = true` (they perturb the
-  /// repaired data path).
-  OscMutation mutation = OscMutation::None;
+  /// The bug built into the app; None builds the repaired
+  /// (double-buffered) app.
+  OscMutation mutation = OscMutation::SharedBuffer;
 };
 
 class OscilloscopeApp {
@@ -113,7 +109,7 @@ class OscilloscopeApp {
   // --- application state (what the nesC module's variables would be) ---
   std::uint32_t data_item_ = 0;
   std::array<std::uint16_t, 3> packet_data_{};  ///< the shared buffer (bug)
-  std::array<std::uint16_t, 3> send_buffer_{};  ///< fixed variant only
+  std::array<std::uint16_t, 3> send_buffer_{};  ///< the committed copy
   bool send_pending_ = false;  ///< instrumentation: packet committed, unsent
   bool commit_done_ = true;    ///< LateCommit: task has committed the triple
   std::uint32_t heavy_remaining_ = 0;

@@ -8,6 +8,7 @@
 #include "apps/sink.hpp"
 #include "fault/injector.hpp"
 #include "net/topology.hpp"
+#include "os/irq.hpp"
 #include "util/assert.hpp"
 
 namespace sent::apps {
@@ -99,7 +100,6 @@ Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
     OscilloscopeConfig osc = config.osc;
     osc.sink = 0;
     osc.sample_period = sim::cycles_from_millis(d_ms);
-    osc.fixed = config.fixed;
     OscilloscopeApp app(sensor_node, adc, sensor_chip, osc,
                         run_rng.substream("osc-app"));
     app.start();
@@ -154,7 +154,6 @@ Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
                            rng.substream("chip1"), config.radio);
   RelayConfig relay_config;
   relay_config.next_hop = 0;
-  relay_config.fixed = config.fixed;
   relay_config.mutation = config.relay_mutation;
   relay_config.mailbox_iteration_cost = config.relay_mailbox_iteration_cost;
   RelayApp relay(relay_node, relay_chip, relay_config);
@@ -249,7 +248,6 @@ Case3Result run_case3(const Case3Config& config, WorldArena* arena) {
     CtpHeartbeatConfig app_config = config.app;
     app_config.is_root = (i == 0);
     app_config.is_source = is_source(id);
-    app_config.fixed = config.fixed;
     ctp_apps.push_back(std::make_unique<CtpHeartbeatApp>(
         *nodes[i], *chips[i], app_config,
         rng.substream("app" + std::to_string(i))));
@@ -320,7 +318,6 @@ Case4Result run_case4(const Case4Config& config, WorldArena* arena) {
         rng.substream("chip" + std::to_string(i)), config.radio));
     DisseminationConfig app_config = config.app;
     app_config.is_publisher = (i == 0);
-    app_config.fixed = config.fixed;
     diss_apps.push_back(std::make_unique<DisseminationApp>(
         *nodes[i], *chips[i], app_config,
         rng.substream("app" + std::to_string(i))));
@@ -390,6 +387,92 @@ Case4Result run_case4(const Case4Config& config, WorldArena* arena) {
     result.traces.push_back(nodes[i]->take_trace());
   }
   return result;
+}
+
+// ------------------------------------------------------------- scenario
+
+Analysis analysis_of(const Case1Result& result) {
+  Analysis a;
+  for (std::size_t r = 0; r < result.runs.size(); ++r)
+    a.traces.push_back({&result.runs[r].sensor_trace, r});
+  a.line = os::irq::kAdc;
+  return a;
+}
+
+Analysis analysis_of(const Case2Result& result) {
+  return {{{&result.relay_trace, 0}}, os::irq::kRadioSpi};
+}
+
+Analysis analysis_of(const Case3Result& result) {
+  Analysis a;
+  for (net::NodeId src : result.sources)
+    a.traces.push_back({&result.traces[src], 0});
+  a.line = result.report_line;
+  return a;
+}
+
+Analysis analysis_of(const Case4Result& result) {
+  Analysis a;
+  for (const trace::NodeTrace& t : result.traces) a.traces.push_back({&t, 0});
+  a.line = static_cast<trace::IrqLine>(result.trickle_line + 1);
+  return a;
+}
+
+namespace {
+
+Case1Result run_case(const Case1Config& c, WorldArena* a) {
+  return run_case1(c, a);
+}
+Case2Result run_case(const Case2Config& c, WorldArena* a) {
+  return run_case2(c, a);
+}
+Case3Result run_case(const Case3Config& c, WorldArena* a) {
+  return run_case3(c, a);
+}
+Case4Result run_case(const Case4Config& c, WorldArena* a) {
+  return run_case4(c, a);
+}
+
+/// Every trace a result holds, in the order simulate() hands them back.
+std::vector<trace::NodeTrace*> traces_of(Case1Result& result) {
+  std::vector<trace::NodeTrace*> out;
+  for (Case1Run& run : result.runs) out.push_back(&run.sensor_trace);
+  return out;
+}
+
+std::vector<trace::NodeTrace*> traces_of(Case2Result& result) {
+  return {&result.relay_trace};
+}
+
+template <typename Result>  // cases III and IV: one trace per node
+std::vector<trace::NodeTrace*> traces_of(Result& result) {
+  std::vector<trace::NodeTrace*> out;
+  for (trace::NodeTrace& t : result.traces) out.push_back(&t);
+  return out;
+}
+
+}  // namespace
+
+Simulation simulate(const Scenario& scenario, std::uint64_t seed,
+                    WorldArena* arena) {
+  return std::visit(
+      [seed, arena](auto config) {
+        config.seed = seed;
+        auto result = run_case(config, arena);
+        Simulation sim;
+        sim.events_executed = result.events_executed;
+        sim.analyzed = analysis_of(result);
+        const std::vector<trace::NodeTrace*> all = traces_of(result);
+        sim.traces.reserve(all.size());
+        for (trace::NodeTrace* t : all) sim.traces.push_back(std::move(*t));
+        // Re-point each view from the result's trace to its new home.
+        for (trace::TaggedTrace& view : sim.analyzed.traces)
+          view.trace =
+              &sim.traces[std::find(all.begin(), all.end(), view.trace) -
+                          all.begin()];
+        return sim;
+      },
+      scenario);
 }
 
 }  // namespace sent::apps

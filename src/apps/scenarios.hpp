@@ -1,14 +1,24 @@
-// End-to-end simulation scenarios for the three case studies (§VI).
+// End-to-end simulation scenarios for the case studies (§VI, plus the
+// case-IV extension).
 //
 // Each run_caseN builds a fresh world (event queue, channel, nodes, devices,
 // applications), runs it for the configured virtual duration, and returns
-// the recorded node traces plus application-level ground truth. The
-// Sentomist pipeline consumes the traces; benches consume the ground truth
-// to score rankings.
+// the recorded node traces plus application-level ground truth. Which bug
+// each app carries is its config's mutation enum: the default is the
+// paper's bug, `None` the repaired app.
+//
+// A case study is one simulated world plus one anatomized event type over
+// chosen node traces. apps::Scenario is that world as a value (one CaseN
+// config), and analysis_of(CaseNResult) is the per-case choice of traces,
+// run tags and line, written once. simulate() runs a Scenario at a seed
+// and returns every trace the run produced together with that analysis.
+// The Sentomist pipeline consumes the analyzed traces; benches consume the
+// ground truth to score rankings.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <variant>
 #include <vector>
 
 #include "apps/ctp_heartbeat.hpp"
@@ -48,10 +58,9 @@ struct Case1Config {
   /// The paper's five testing runs: D = 20, 40, 60, 80, 100 ms.
   std::vector<double> sample_periods_ms = {20, 40, 60, 80, 100};
   double run_seconds = 10.0;
-  bool fixed = false;
   fault::FaultPlan faults;
   std::uint64_t event_budget = 0;
-  OscilloscopeConfig osc;  ///< base config; sample_period set per run
+  OscilloscopeConfig osc;  ///< base config (and bug); sample_period per run
   hw::RadioParams radio = [] {
     hw::RadioParams p;
     p.bits_per_second = 76800.0;  // CC1000 at its maximum rate
@@ -83,7 +92,6 @@ struct Case2Config {
   std::uint64_t seed = 1;
   double run_seconds = 20.0;
   double mean_interval_ms = 100.0;
-  bool fixed = false;
   fault::FaultPlan faults;
   std::uint64_t event_budget = 0;
 
@@ -98,9 +106,9 @@ struct Case2Config {
   double loss_rate = 0.0;
   std::optional<net::Channel::GilbertElliott> gilbert_elliott;
 
-  /// Corpus mutation injected into the relay (DESIGN.md §16), plus its
-  /// window knob. None keeps the legacy fixed/buggy selection.
-  RelayMutation relay_mutation = RelayMutation::None;
+  /// The bug built into the relay (DESIGN.md §16), plus the TornMailbox
+  /// window knob. None builds the repaired relay.
+  RelayMutation relay_mutation = RelayMutation::BusyDrop;
   std::uint32_t relay_mailbox_iteration_cost = 900;
 
   /// Low-power listening on every mote (default: always-on radios).
@@ -144,10 +152,9 @@ struct Case3Config {
   double run_seconds = 15.0;
   std::size_t rows = 3, cols = 3;  ///< 9 nodes, root = node 0
   std::size_t num_sources = 4;
-  bool fixed = false;
   fault::FaultPlan faults;
   std::uint64_t event_budget = 0;
-  CtpHeartbeatConfig app;  ///< base; role flags set per node
+  CtpHeartbeatConfig app;  ///< base (and bug); role flags set per node
   hw::RadioParams radio = [] {
     hw::RadioParams p;
     p.bits_per_second = 100000.0;
@@ -184,14 +191,13 @@ struct Case4Config {
   double run_seconds = 60.0;
   std::size_t rows = 3, cols = 3;  ///< node 0 publishes
   double mean_update_interval_s = 3.0;
-  bool fixed = false;
   fault::FaultPlan faults;
   std::uint64_t event_budget = 0;
   DisseminationConfig app = [] {
     DisseminationConfig c;
     c.flash_commit_iterations = 12;  // ~2.5 ms tear window
     return c;
-  }();  ///< base; is_publisher set per node
+  }();  ///< base (and bug); is_publisher set per node
   hw::RadioParams radio = [] {
     hw::RadioParams p;
     p.bits_per_second = 100000.0;
@@ -227,5 +233,56 @@ struct Case4Result {
 };
 
 Case4Result run_case4(const Case4Config& config, WorldArena* arena = nullptr);
+
+// ------------------------------------------------------------- scenario
+
+/// One case study's world as a value: the app, topology, bug, faults and
+/// duration. simulate() overrides the alternative's `seed` with the run's.
+using Scenario = std::variant<Case1Config, Case2Config, Case3Config,
+                              Case4Config>;
+
+/// What the Sentomist back end reads from one case's result: the analyzed
+/// traces in analysis order, with their run tags, and the anatomized line.
+struct Analysis {
+  std::vector<trace::TaggedTrace> traces;  ///< views into the result
+  trace::IrqLine line = 0;
+};
+
+/// The per-case analysis choice, written once:
+///   I   every testing run's sensor trace, tagged with its run index, at
+///       the ADC data-ready line;
+///   II  the relay's trace at the radio SPI line;
+///   III the source nodes' traces (ascending node id) at the report
+///       timer's line;
+///   IV  every node's trace at the flash-ready line (the tear is only
+///       visible in FLASH-READY intervals, which span the preempting
+///       broadcast; the Trickle timer's own intervals are
+///       control-flow-identical for torn and normal fires).
+Analysis analysis_of(const Case1Result& result);
+Analysis analysis_of(const Case2Result& result);
+Analysis analysis_of(const Case3Result& result);
+Analysis analysis_of(const Case4Result& result);
+
+/// One seeded run of a Scenario.
+struct Simulation {
+  /// Every trace the run returned, each exactly once, so a caller with an
+  /// arena recycles every buffer once (the result's order: case I by run,
+  /// cases III and IV by node id).
+  std::vector<trace::NodeTrace> traces;
+  Analysis analyzed;  ///< analysis_of the run, viewing into `traces`
+  std::uint64_t events_executed = 0;
+
+  Simulation() = default;
+  Simulation(Simulation&&) = default;
+  Simulation& operator=(Simulation&&) = default;
+  // A copy's views would still point into the original's traces.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
+};
+
+/// Run `scenario` at `seed` (through `arena` when given, exactly as
+/// run_caseN does) and return its traces and analysis.
+Simulation simulate(const Scenario& scenario, std::uint64_t seed,
+                    WorldArena* arena = nullptr);
 
 }  // namespace sent::apps

@@ -1,9 +1,9 @@
 #include "corpus/corpus.hpp"
 
 #include <cstdio>
+#include <variant>
 
 #include "core/anatomizer.hpp"
-#include "os/irq.hpp"
 #include "util/assert.hpp"
 #include "util/hash.hpp"
 
@@ -26,102 +26,93 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+template <typename... Fs>
+struct Overloaded : Fs... {
+  using Fs::operator()...;
+};
+
+/// Case II's firmware hold after each exchange, as every case-II variant
+/// sets it. It is kept in ms for params(): 3 ms is 22,118.4 cycles, which
+/// the radio's whole-cycle hold cannot give back.
+constexpr double kPostTxHoldMs = 3.0;
+
 VariantSpec case1(std::string id, BugClass cls, apps::OscMutation m,
-                  std::string marker, double period_ms,
+                  std::string marker, double period_ms, double run_seconds,
                   std::uint32_t heavy_iters, std::string description) {
-  VariantSpec v;
-  v.id = std::move(id);
-  v.bug_class = cls;
-  v.case_tag = "I";
-  v.marker = std::move(marker);
-  v.description = std::move(description);
-  v.run_seconds = 10.0;
-  v.osc_mutation = m;
-  v.sample_period_ms = period_ms;
-  v.heavy_iterations = heavy_iters;
-  return v;
+  apps::Case1Config c;
+  c.sample_periods_ms = {period_ms};
+  c.run_seconds = run_seconds;
+  c.osc.heavy_iterations = heavy_iters;
+  c.osc.mutation = m;
+  return {std::move(id), cls, std::move(marker), std::move(description), c};
 }
 
 VariantSpec case2(std::string id, BugClass cls, apps::RelayMutation m,
-                  std::string marker, double mean_ms, double hold_ms,
+                  std::string marker, double mean_ms,
                   std::uint32_t mailbox_cost, std::string description) {
-  VariantSpec v;
-  v.id = std::move(id);
-  v.bug_class = cls;
-  v.case_tag = "II";
-  v.marker = std::move(marker);
-  v.description = std::move(description);
-  v.run_seconds = 20.0;
-  v.relay_mutation = m;
-  v.mean_interval_ms = mean_ms;
-  v.post_tx_hold_ms = hold_ms;
-  v.mailbox_iteration_cost = mailbox_cost;
-  return v;
+  apps::Case2Config c;
+  c.run_seconds = 20.0;
+  c.mean_interval_ms = mean_ms;
+  c.relay_mutation = m;
+  c.relay_mailbox_iteration_cost = mailbox_cost;
+  c.radio.post_tx_hold = sim::cycles_from_millis(kPostTxHoldMs);
+  return {std::move(id), cls, std::move(marker), std::move(description), c};
 }
 
 VariantSpec case3(std::string id, std::size_t padding,
                   std::string description) {
-  VariantSpec v;
-  v.id = std::move(id);
-  v.bug_class = BugClass::SharedFlag;
-  v.case_tag = "III";
-  v.marker = "ctp-hang";
-  v.description = std::move(description);
-  v.run_seconds = 15.0;
-  v.ctp_mutation = apps::CtpMutation::StuckSending;
-  v.heartbeat_padding = padding;
-  return v;
+  apps::Case3Config c;
+  c.run_seconds = 15.0;
+  c.app.heartbeat_padding = padding;
+  c.app.mutation = apps::CtpMutation::StuckSending;
+  return {std::move(id), BugClass::SharedFlag, "ctp-hang",
+          std::move(description), c};
 }
 
 VariantSpec case4(std::string id, std::uint32_t tear_iters,
                   std::string description) {
-  VariantSpec v;
-  v.id = std::move(id);
-  v.bug_class = BugClass::Atomicity;
-  v.case_tag = "IV";
-  v.marker = "torn-summary";
-  v.description = std::move(description);
-  v.run_seconds = 40.0;
-  v.diss_mutation = apps::DissMutation::TornWrite;
-  v.flash_commit_iterations = tear_iters;
-  return v;
+  apps::Case4Config c;
+  c.run_seconds = 40.0;
+  c.app.flash_commit_iterations = tear_iters;
+  c.app.mutation = apps::DissMutation::TornWrite;
+  return {std::move(id), BugClass::Atomicity, "torn-summary",
+          std::move(description), c};
 }
 
 std::vector<VariantSpec> build_corpus() {
   std::vector<VariantSpec> c;
   // --- case I: oscilloscope ----------------------------------------------
+  // (The D = 40 variants run 20 s: the interleaving is rarer there.)
   c.push_back(case1("osc-shared-buffer-d20", BugClass::Atomicity,
-                    apps::OscMutation::SharedBuffer, "data-pollution", 20, 16,
-                    "send task reads the live packet buffer (Fig. 2)"));
+                    apps::OscMutation::SharedBuffer, "data-pollution", 20, 10,
+                    16, "send task reads the live packet buffer (Fig. 2)"));
   c.push_back(case1("osc-shared-buffer-d40", BugClass::Atomicity,
-                    apps::OscMutation::SharedBuffer, "data-pollution", 40, 24,
-                    "shared packet buffer at D = 40 ms, heavier task"));
-  c.back().run_seconds = 20.0;  // rarer interleaving at D = 40
+                    apps::OscMutation::SharedBuffer, "data-pollution", 40, 20,
+                    24, "shared packet buffer at D = 40 ms, heavier task"));
   c.push_back(case1("osc-late-commit-d20", BugClass::Ordering,
                     apps::OscMutation::LateCommit, "late-commit-pollution",
-                    20, 16,
+                    20, 10, 16,
                     "double-buffer commit deferred into the send task"));
   c.push_back(case1("osc-late-commit-d40", BugClass::Ordering,
                     apps::OscMutation::LateCommit, "late-commit-pollution",
-                    40, 24, "deferred commit at D = 40 ms, heavier task"));
-  c.back().run_seconds = 20.0;
+                    40, 20, 24, "deferred commit at D = 40 ms, heavier task"));
   c.push_back(case1("osc-pending-skip-d20", BugClass::SharedFlag,
                     apps::OscMutation::PendingSkip, "pending-skip-drop", 20,
-                    48,
+                    10, 48,
                     "handler drops the triple while send_pending_ is set"));
   // --- case II: forwarding relay -----------------------------------------
   c.push_back(case2("fwd-busy-drop-i100", BugClass::SharedFlag,
-                    apps::RelayMutation::BusyDrop, "busy-drop", 100, 3, 900,
+                    apps::RelayMutation::BusyDrop, "busy-drop", 100, 900,
                     "active drop on the radio busy flag (paper case II)"));
   c.push_back(case2("fwd-busy-drop-i60", BugClass::SharedFlag,
-                    apps::RelayMutation::BusyDrop, "busy-drop", 60, 3, 900,
+                    apps::RelayMutation::BusyDrop, "busy-drop", 60, 900,
                     "busy-flag drop under heavier arrival pressure"));
   c.push_back(case2("fwd-torn-mailbox", BugClass::Atomicity,
-                    apps::RelayMutation::TornMailbox, "torn-mailbox", 100, 3,
+                    apps::RelayMutation::TornMailbox, "torn-mailbox", 100,
                     2500,
                     "handler overwrites the staging slot mid-checksum"));
   c.push_back(case2("fwd-pop-first", BugClass::Ordering,
-                    apps::RelayMutation::PopFirst, "pop-first-loss", 100, 3,
+                    apps::RelayMutation::PopFirst, "pop-first-loss", 100,
                     900, "queue pop ordered before send confirmation"));
   // --- case IV: dissemination --------------------------------------------
   c.push_back(case4("dis-torn-write-w12", 12,
@@ -159,24 +150,41 @@ std::string corpus_ids() {
   return out;
 }
 
+std::string VariantSpec::case_tag() const {
+  static const char* const tags[] = {"I", "II", "III", "IV"};
+  return tags[scenario.index()];
+}
+
 std::vector<std::pair<std::string, std::string>> VariantSpec::params() const {
   std::vector<std::pair<std::string, std::string>> p;
-  p.emplace_back("run_seconds", fmt_double(run_seconds));
-  if (case_tag == "I") {
-    p.emplace_back("sample_period_ms", fmt_double(sample_period_ms));
-    p.emplace_back("heavy_iterations", std::to_string(heavy_iterations));
-  } else if (case_tag == "II") {
-    p.emplace_back("mean_interval_ms", fmt_double(mean_interval_ms));
-    p.emplace_back("post_tx_hold_ms", fmt_double(post_tx_hold_ms));
-    if (relay_mutation == apps::RelayMutation::TornMailbox)
-      p.emplace_back("mailbox_iteration_cost",
-                     std::to_string(mailbox_iteration_cost));
-  } else if (case_tag == "III") {
-    p.emplace_back("heartbeat_padding", std::to_string(heartbeat_padding));
-  } else if (case_tag == "IV") {
-    p.emplace_back("flash_commit_iterations",
-                   std::to_string(flash_commit_iterations));
-  }
+  p.emplace_back("run_seconds",
+                 fmt_double(std::visit(
+                     [](const auto& c) { return c.run_seconds; }, scenario)));
+  std::visit(
+      Overloaded{
+          [&p](const apps::Case1Config& c) {
+            p.emplace_back("sample_period_ms",
+                           fmt_double(c.sample_periods_ms.front()));
+            p.emplace_back("heavy_iterations",
+                           std::to_string(c.osc.heavy_iterations));
+          },
+          [&p](const apps::Case2Config& c) {
+            p.emplace_back("mean_interval_ms",
+                           fmt_double(c.mean_interval_ms));
+            p.emplace_back("post_tx_hold_ms", fmt_double(kPostTxHoldMs));
+            if (c.relay_mutation == apps::RelayMutation::TornMailbox)
+              p.emplace_back("mailbox_iteration_cost",
+                             std::to_string(c.relay_mailbox_iteration_cost));
+          },
+          [&p](const apps::Case3Config& c) {
+            p.emplace_back("heartbeat_padding",
+                           std::to_string(c.app.heartbeat_padding));
+          },
+          [&p](const apps::Case4Config& c) {
+            p.emplace_back("flash_commit_iterations",
+                           std::to_string(c.app.flash_commit_iterations));
+          }},
+      scenario);
   return p;
 }
 
@@ -235,83 +243,33 @@ std::uint64_t ground_truth_digest(const GroundTruth& truth) {
 
 // -------------------------------------------------------------- generation
 
-std::vector<pipeline::TaggedTrace> VariantRun::tagged() const {
-  std::vector<pipeline::TaggedTrace> out;
-  out.reserve(traces.size());
-  for (std::size_t i = 0; i < traces.size(); ++i)
-    out.push_back({&traces[i], runs[i]});
-  return out;
-}
-
 VariantRun run_variant(const VariantSpec& spec, std::uint64_t seed,
                        double run_scale, apps::WorldArena* arena,
                        bool baseline) {
   SENT_REQUIRE_MSG(run_scale > 0.0, "run_scale must be positive");
-  VariantRun out;
-  const double seconds = spec.run_seconds * run_scale;
-  if (spec.case_tag == "I") {
-    apps::Case1Config c;
-    c.seed = seed;
-    c.sample_periods_ms = {spec.sample_period_ms};
-    c.run_seconds = seconds;
-    c.fixed = true;
-    c.osc.heavy_iterations = spec.heavy_iterations;
-    c.osc.mutation =
-        baseline ? apps::OscMutation::None : spec.osc_mutation;
-    apps::Case1Result r = apps::run_case1(c, arena);
-    out.traces.push_back(std::move(r.runs[0].sensor_trace));
-    out.runs.push_back(0);
-    out.line = os::irq::kAdc;
-  } else if (spec.case_tag == "II") {
-    apps::Case2Config c;
-    c.seed = seed;
-    c.run_seconds = seconds;
-    c.mean_interval_ms = spec.mean_interval_ms;
-    c.fixed = true;
-    c.relay_mutation =
-        baseline ? apps::RelayMutation::None : spec.relay_mutation;
-    c.relay_mailbox_iteration_cost = spec.mailbox_iteration_cost;
-    c.radio.post_tx_hold = sim::cycles_from_millis(spec.post_tx_hold_ms);
-    apps::Case2Result r = apps::run_case2(c, arena);
-    out.traces.push_back(std::move(r.relay_trace));
-    out.runs.push_back(0);
-    out.line = os::irq::kRadioSpi;
-  } else if (spec.case_tag == "III") {
-    apps::Case3Config c;
-    c.seed = seed;
-    c.run_seconds = seconds;
-    c.fixed = true;
-    c.app.heartbeat_padding = spec.heartbeat_padding;
-    c.app.mutation =
-        baseline ? apps::CtpMutation::None : spec.ctp_mutation;
-    apps::Case3Result r = apps::run_case3(c, arena);
-    for (net::NodeId src : r.sources) {
-      out.traces.push_back(std::move(r.traces[src]));
-      out.runs.push_back(0);
-    }
-    out.line = r.report_line;
-    if (arena) arena->recycle_all(r.traces);
-  } else if (spec.case_tag == "IV") {
-    apps::Case4Config c;
-    c.seed = seed;
-    c.run_seconds = seconds;
-    c.fixed = true;
-    c.app.flash_commit_iterations = spec.flash_commit_iterations;
-    c.app.mutation =
-        baseline ? apps::DissMutation::None : spec.diss_mutation;
-    apps::Case4Result r = apps::run_case4(c, arena);
-    for (trace::NodeTrace& t : r.traces) {
-      out.traces.push_back(std::move(t));
-      out.runs.push_back(0);
-    }
-    // The tear is only visible in FLASH-READY intervals (they span the
-    // preempting broadcast); the Trickle timer's own intervals are
-    // control-flow-identical for torn and normal fires (see ext E5).
-    out.line = static_cast<trace::IrqLine>(r.trickle_line + 1);
-  } else {
-    SENT_REQUIRE_MSG(false, "unknown corpus case tag");
+  apps::Scenario scenario = spec.scenario;
+  std::visit([run_scale](auto& c) { c.run_seconds *= run_scale; }, scenario);
+  if (baseline) {
+    std::visit(
+        Overloaded{
+            [](apps::Case1Config& c) {
+              c.osc.mutation = apps::OscMutation::None;
+            },
+            [](apps::Case2Config& c) {
+              c.relay_mutation = apps::RelayMutation::None;
+            },
+            [](apps::Case3Config& c) {
+              c.app.mutation = apps::CtpMutation::None;
+            },
+            [](apps::Case4Config& c) {
+              c.app.mutation = apps::DissMutation::None;
+            }},
+        scenario);
   }
-  out.truth = derive_ground_truth(out.tagged(), out.line, spec.marker);
+  VariantRun out;
+  out.sim = apps::simulate(scenario, seed, arena);
+  out.truth = derive_ground_truth(out.sim.analyzed.traces,
+                                  out.sim.analyzed.line, spec.marker);
   return out;
 }
 

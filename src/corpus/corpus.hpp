@@ -4,16 +4,16 @@
 // turns that into a measurable claim. Each VariantSpec names one seeded
 // mutation — an atomicity violation, an ordering bug, or a shared-flag
 // race across the interrupt/task boundary (Sun et al.'s disentanglement
-// taxonomy) — injected into one of the existing applications via its
-// config-level mutation hook. Running a variant yields node traces whose
+// taxonomy) — built into one of the existing applications by its
+// scenario's mutation enum. Running a variant yields node traces whose
 // ground-truth labels are DERIVED FROM THE TRACE ITSELF: the mutated code
 // marks the exact cycle at which the bug manifests, and every anatomized
 // interval of the case's event type whose window contains such a marker is
 // labelled buggy. No interval is ever hand-labelled.
 //
-// The same spec with its mutation stripped (`baseline = true`) is the
-// control: it must produce zero markers and therefore zero labels, which
-// tests/corpus_test.cpp enforces for every variant.
+// The same spec with its mutation set to None (`baseline = true`, the
+// repaired app) is the control: it must produce zero markers and therefore
+// zero labels, which tests/corpus_test.cpp enforces for every variant.
 #pragma once
 
 #include <cstdint>
@@ -31,35 +31,17 @@ enum class BugClass : std::uint8_t { Atomicity, Ordering, SharedFlag };
 
 const char* to_string(BugClass c);
 
-/// One parameterized transient-bug variant. Only the knobs of the variant's
-/// case are meaningful; the rest keep their defaults and are omitted from
-/// params().
+/// One parameterized transient-bug variant: a labelled Scenario whose app
+/// carries the variant's mutation.
 struct VariantSpec {
   std::string id;           ///< stable corpus id, e.g. "osc-late-commit-d20"
   BugClass bug_class = BugClass::Atomicity;
-  std::string case_tag;     ///< "I", "II", "III" or "IV"
   std::string marker;       ///< trace marker kind = the ground-truth key
   std::string description;
-  double run_seconds = 10.0;
+  apps::Scenario scenario;  ///< the mutated world, at full duration
 
-  // --- case I knobs ---
-  apps::OscMutation osc_mutation = apps::OscMutation::None;
-  double sample_period_ms = 20.0;
-  std::uint32_t heavy_iterations = 16;
-
-  // --- case II knobs ---
-  apps::RelayMutation relay_mutation = apps::RelayMutation::None;
-  double mean_interval_ms = 100.0;
-  double post_tx_hold_ms = 3.0;
-  std::uint32_t mailbox_iteration_cost = 900;
-
-  // --- case IV knobs ---
-  apps::DissMutation diss_mutation = apps::DissMutation::None;
-  std::uint32_t flash_commit_iterations = 12;
-
-  // --- case III knobs ---
-  apps::CtpMutation ctp_mutation = apps::CtpMutation::None;
-  std::size_t heartbeat_padding = 96;
+  /// "I", "II", "III" or "IV": the scenario's case study.
+  std::string case_tag() const;
 
   /// Canonical (name, value) list of the knobs this variant's case reads —
   /// the golden manifest's parameter record.
@@ -115,22 +97,19 @@ std::uint64_t ground_truth_digest(const GroundTruth& truth);
 
 // ------------------------------------------------------------ generation
 
-/// The product of one seeded variant run: the traces to analyze, their run
-/// tags, the anatomized event type, and the derived ground truth.
+/// The product of one seeded variant run: the simulation (every trace the
+/// run returned, and the analyzed views with their run tags and event
+/// type) and the derived ground truth.
 struct VariantRun {
-  std::vector<trace::NodeTrace> traces;  ///< owned, analysis order
-  std::vector<std::size_t> runs;         ///< per-trace testing-run tag
-  trace::IrqLine line = 0;
+  apps::Simulation sim;
   GroundTruth truth;
-
-  /// Borrowed views over `traces` in analysis order.
-  std::vector<pipeline::TaggedTrace> tagged() const;
 };
 
 /// Simulate `spec` at `seed` and derive its ground truth. `run_scale`
 /// multiplies the variant's virtual duration (smoke tests shrink it).
-/// `baseline = true` strips the mutation (the unmutated control).
-/// An arena, when given, donates pooled buffers exactly as in campaigns.
+/// `baseline = true` swaps the mutation for None (the repaired app, the
+/// unmutated control). An arena, when given, donates pooled buffers
+/// exactly as in campaigns; recycle each of `sim.traces` once.
 VariantRun run_variant(const VariantSpec& spec, std::uint64_t seed,
                        double run_scale = 1.0,
                        apps::WorldArena* arena = nullptr,

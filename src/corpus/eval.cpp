@@ -114,15 +114,17 @@ DetectorSeedOutcome grade(const std::vector<bool>& ranked_truth,
 /// shared ranking convention.
 std::vector<double> dustminer_scores(
     const VariantRun& vr, const pipeline::AnalysisReport& report) {
-  // Per-interval code-object sequences across all traces, in the exact
-  // sample order analyze() used (trace order, chronological intervals).
+  // Per-interval code-object sequences across the analyzed traces, in the
+  // exact sample order analyze() used (trace order, chronological
+  // intervals).
   std::vector<std::vector<std::uint32_t>> sequences;
   std::vector<std::string> names;
   std::unordered_map<std::string, std::uint32_t> name_ids;
-  for (const trace::NodeTrace& trace : vr.traces) {
+  for (const trace::TaggedTrace& tagged : vr.sim.analyzed.traces) {
+    const trace::NodeTrace& trace = *tagged.trace;
     core::Anatomizer anatomizer(trace);
     const std::vector<core::EventInterval> intervals =
-        anatomizer.intervals_for(vr.line);
+        anatomizer.intervals_for(vr.sim.analyzed.line);
     std::vector<std::string> local_names;
     std::vector<std::vector<std::uint32_t>> local =
         ml::code_object_sequences(trace, intervals, &local_names);
@@ -200,11 +202,10 @@ SweepResult run_sweep(const std::vector<VariantSpec>& specs,
               arena](std::uint64_t seed) -> pipeline::AnalysisReport {
         VariantRun vr =
             run_variant(spec, seed, options.run_scale, arena.get());
-        const std::vector<pipeline::TaggedTrace> tagged = vr.tagged();
         pipeline::AnalysisOptions aopts;
         aopts.keep_features = true;
-        pipeline::AnalysisReport report =
-            pipeline::analyze(tagged, vr.line, aopts);
+        pipeline::AnalysisReport report = pipeline::analyze(
+            vr.sim.analyzed.traces, vr.sim.analyzed.line, aopts);
 
         // The derived labels and the pipeline's marker matching are two
         // independent implementations of the same definition; a sweep that
@@ -248,7 +249,7 @@ SweepResult run_sweep(const std::vector<VariantSpec>& specs,
         // never write the same element; aggregation below reads them in
         // seed order after the campaign joins.
         outcomes[seed - options.first_seed] = std::move(out);
-        for (trace::NodeTrace& t : vr.traces) arena->recycle(std::move(t));
+        arena->recycle_all(vr.sim.traces);
         return report;
       };
     };
@@ -278,7 +279,7 @@ SweepResult run_sweep(const std::vector<VariantSpec>& specs,
     VariantReport vr;
     vr.id = spec.id;
     vr.bug_class = to_string(spec.bug_class);
-    vr.case_tag = spec.case_tag;
+    vr.case_tag = spec.case_tag();
     vr.marker = spec.marker;
     vr.params = spec.params();
     vr.seeds = options.seeds;

@@ -44,10 +44,7 @@ struct Sample {
   std::string label(bool with_run, bool with_node) const;
 };
 
-struct TaggedTrace {
-  const trace::NodeTrace* trace = nullptr;
-  std::size_t run = 0;
-};
+using TaggedTrace = trace::TaggedTrace;
 
 enum class FeatureKind { InstructionCounter, Coarse, CodeObject };
 

@@ -11,8 +11,11 @@
 // NodeTrace::clear_keep_capacity() restore to blank, and everything else
 // is rebuilt per seed. tests/worker_pool_test.cpp holds the parity.
 //
-// One runner serves all three cases; only the simulation step differs.
-// Its phases are obs phase scopes (DESIGN.md §11): the run_caseN call
+// One runner serves all three cases: each case name maps to one
+// apps::Scenario, which the runner hands to apps::simulate with the seed
+// and the worker's arena; the traces it analyzes are the Simulation's
+// analyzed views, and every trace the run returned goes back to the arena
+// once. Its phases are obs phase scopes (DESIGN.md §11): the simulate call
 // (`apps.run_case1..3`, the event loop's `sim.run_until` nested inside),
 // the chaos ladder's trace round trip (`trace.round_trip`), and the back
 // end's own `pipeline.analyze`.

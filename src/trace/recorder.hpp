@@ -67,6 +67,13 @@ struct NodeTrace {
   }
 };
 
+/// A borrowed trace tagged with the testing run it came from (case I sweeps
+/// runs): the unit the analysis reads, in analysis order.
+struct TaggedTrace {
+  const NodeTrace* trace = nullptr;
+  std::size_t run = 0;
+};
+
 /// Recorder used by the machine/kernel while a node runs. Owns the growing
 /// NodeTrace; take() moves it out at end of run.
 class Recorder {

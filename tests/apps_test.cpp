@@ -30,7 +30,7 @@ std::uint64_t fingerprint(const trace::NodeTrace& t) {
 Case1Config small_case1(bool fixed, std::uint64_t seed = 11) {
   Case1Config c;
   c.seed = seed;
-  c.fixed = fixed;
+  if (fixed) c.osc.mutation = OscMutation::None;
   c.sample_periods_ms = {20, 60};
   c.run_seconds = 5.0;
   return c;
@@ -110,7 +110,7 @@ TEST(Case1, DifferentSeedsDiverge) {
 Case2Config small_case2(bool fixed, std::uint64_t seed = 21) {
   Case2Config c;
   c.seed = seed;
-  c.fixed = fixed;
+  if (fixed) c.relay_mutation = RelayMutation::None;
   c.run_seconds = 20.0;
   return c;
 }
@@ -165,7 +165,7 @@ TEST(Case2, DeterministicForSameSeed) {
 Case3Config small_case3(bool fixed, std::uint64_t seed = 31) {
   Case3Config c;
   c.seed = seed;
-  c.fixed = fixed;
+  if (fixed) c.app.mutation = CtpMutation::None;
   c.run_seconds = 15.0;
   return c;
 }

@@ -27,6 +27,7 @@
 #include <string>
 #include <vector>
 
+#include "apps/world_arena.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/eval.hpp"
 #include "pipeline/sentomist.hpp"
@@ -60,7 +61,7 @@ TEST(Corpus, ManifestHasTwelvePlusVariantsAcrossAllClasses) {
   std::map<std::string, std::size_t> per_case;
   for (const VariantSpec& v : corpus) {
     ++per_class[v.bug_class];
-    ++per_case[v.case_tag];
+    ++per_case[v.case_tag()];
     EXPECT_NE(find_variant(v.id), nullptr);
   }
   EXPECT_GE(per_class[BugClass::Atomicity], 2u);
@@ -78,7 +79,8 @@ TEST(Corpus, LabelsAgreeWithPipelineSamples) {
     const VariantRun& vr = golden_run(spec);
     ASSERT_TRUE(vr.truth.triggered())
         << "golden seed no longer triggers " << spec.id;
-    pipeline::AnalysisReport report = analyze(vr.tagged(), vr.line);
+    pipeline::AnalysisReport report =
+        pipeline::analyze(vr.sim.analyzed.traces, vr.sim.analyzed.line);
     ASSERT_EQ(report.buggy_count(), vr.truth.labels.size());
     std::size_t next = 0;  // labels are in analysis-sample order
     for (const pipeline::Sample& s : report.samples) {
@@ -104,7 +106,8 @@ TEST(Corpus, UnmutatedBaselineProducesZeroLabels) {
                                   /*arena=*/nullptr, /*baseline=*/true);
     EXPECT_FALSE(base.truth.triggered());
     EXPECT_EQ(base.truth.marker_events, 0u);
-    pipeline::AnalysisReport report = analyze(base.tagged(), base.line);
+    pipeline::AnalysisReport report =
+        pipeline::analyze(base.sim.analyzed.traces, base.sim.analyzed.line);
     EXPECT_EQ(report.buggy_count(), 0u);
   }
 }
@@ -131,6 +134,27 @@ TEST(Corpus, DifferentSeedsDiffer) {
   EXPECT_NE(ground_truth_text(a.truth), ground_truth_text(b.truth));
 }
 
+// A sweep worker hands every trace of a run back to its arena exactly
+// once, so the bank holds one buffer per node of the world (case III: 9)
+// after every seed, each with the capacity a node grew. Banking a buffer
+// twice, or banking moved-from ones, grows the bank to its cap and then
+// frees real buffers, so later seeds regrow from empty ones.
+TEST(Corpus, ArenaBankHoldsOneBufferPerNode) {
+  const VariantSpec* spec = find_variant("ctp-stuck-p96");
+  ASSERT_NE(spec, nullptr);
+  apps::WorldArena arena;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    VariantRun vr = run_variant(*spec, seed, 0.25, &arena);
+    arena.recycle_all(vr.sim.traces);  // as run_sweep does
+    ASSERT_EQ(arena.banked_buffers(), 9u) << "seed " << seed;
+    std::vector<trace::NodeTrace> banked;
+    for (std::size_t i = 0; i < 9; ++i) banked.push_back(arena.take_buffer());
+    for (const trace::NodeTrace& t : banked)
+      EXPECT_GT(t.instrs.capacity(), 0u) << "seed " << seed;
+    arena.recycle_all(banked);
+  }
+}
+
 // Property 4: sweep metrics are schedule-independent. The name carries
 // "Jobs" so scripts/tier1.sh can run exactly this under TSan.
 TEST(CorpusJobs, SweepParallelMatchesSerialByteForByte) {
@@ -154,8 +178,8 @@ TEST(CorpusJobs, SweepParallelMatchesSerialByteForByte) {
 
 std::string manifest_line(const VariantSpec& spec) {
   std::ostringstream os;
-  os << spec.id << "|" << to_string(spec.bug_class) << "|" << spec.case_tag
-     << "|" << spec.marker << "|";
+  os << spec.id << "|" << to_string(spec.bug_class) << "|"
+     << spec.case_tag() << "|" << spec.marker << "|";
   bool first = true;
   for (const auto& [name, value] : spec.params()) {
     os << (first ? "" : ",") << name << "=" << value;

@@ -28,7 +28,7 @@ struct World {
     CtpHeartbeatConfig config;
     config.is_root = root;
     config.is_source = source;
-    config.fixed = fixed;
+    if (fixed) config.mutation = CtpMutation::None;
     apps.push_back(std::make_unique<CtpHeartbeatApp>(
         *nodes.back(), *chips.back(), config, util::Rng(200 + id)));
   }

@@ -109,7 +109,7 @@ TEST(Integration, Case3AllNodeTracesSatisfyInvariants) {
 TEST(Integration, FixedVariantsAlsoSatisfyInvariants) {
   apps::Case2Config config;
   config.seed = 3;
-  config.fixed = true;
+  config.relay_mutation = apps::RelayMutation::None;
   config.run_seconds = 10.0;
   apps::Case2Result r = apps::run_case2(config);
   check_trace_invariants(r.relay_trace, "case2 fixed relay");

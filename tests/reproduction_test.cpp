@@ -79,9 +79,9 @@ TEST_P(Fig5cGuard, HangSymptomInTopRanksOfReportIntervals) {
   apps::Case3Result r = apps::run_case3(config);
   if (r.hung_nodes() == 0) GTEST_SKIP() << "bug did not trigger";
 
-  std::vector<pipeline::TaggedTrace> traces;
-  for (net::NodeId src : r.sources) traces.push_back({&r.traces[src], 0});
-  pipeline::AnalysisReport report = analyze(traces, r.report_line);
+  const apps::Analysis analyzed = apps::analysis_of(r);
+  pipeline::AnalysisReport report =
+      pipeline::analyze(analyzed.traces, analyzed.line);
 
   // ~100 report intervals (the paper: 95).
   EXPECT_GT(report.samples.size(), 60u);
@@ -100,14 +100,14 @@ TEST(FixedVariantGuard, NoMarkersAnywhere) {
   {
     apps::Case1Config config;
     config.seed = 5;
-    config.fixed = true;
+    config.osc.mutation = apps::OscMutation::None;
     apps::Case1Result r = apps::run_case1(config);
     EXPECT_EQ(r.total_pollutions(), 0u);
   }
   {
     apps::Case2Config config;
     config.seed = 3;
-    config.fixed = true;
+    config.relay_mutation = apps::RelayMutation::None;
     apps::Case2Result r = apps::run_case2(config);
     EXPECT_EQ(r.relay_dropped_busy, 0u);
     EXPECT_TRUE(r.relay_trace.bugs.empty());
@@ -115,7 +115,7 @@ TEST(FixedVariantGuard, NoMarkersAnywhere) {
   {
     apps::Case3Config config;
     config.seed = 5;
-    config.fixed = true;
+    config.app.mutation = apps::CtpMutation::None;
     apps::Case3Result r = apps::run_case3(config);
     EXPECT_EQ(r.hung_nodes(), 0u);
   }
@@ -126,7 +126,7 @@ TEST(FixedVariantGuard, NoMarkersAnywhere) {
 TEST(FixedVariantGuard, AnalysisOnCleanTracesIsSane) {
   apps::Case2Config config;
   config.seed = 3;
-  config.fixed = true;
+  config.relay_mutation = apps::RelayMutation::None;
   apps::Case2Result r = apps::run_case2(config);
   pipeline::AnalysisReport report =
       pipeline::analyze({{&r.relay_trace, 0}}, os::irq::kRadioSpi);

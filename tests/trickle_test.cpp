@@ -99,7 +99,7 @@ namespace {
 Case4Config small_case4(bool fixed, std::uint64_t seed = 1) {
   Case4Config c;
   c.seed = seed;
-  c.fixed = fixed;
+  if (fixed) c.app.mutation = DissMutation::None;
   c.run_seconds = 30.0;
   return c;
 }
