@@ -4,10 +4,11 @@
 // It covers the four case studies at seeds 1-8, the case-II and case-III
 // fault batteries, one 81-node case-III grid, the Fig-5 demo and bench
 // configurations, the randomized case-I/II/III batteries at the seeds they
-// draw, one watchdog trip, the repaired apps of cases I-IV, and every
-// corpus variant both mutated and as its baseline, so any change to the
-// event engine, the machine, the channel or an app's program builder that
-// moves one event or one trace byte fails here first. The fixture up to
+// draw, one watchdog trip, the repaired apps of cases I-IV, every corpus
+// variant both mutated and as its baseline, and a sink fed by a random
+// source (the two programs whose traces the case runs recycle), so any
+// change to the event engine, the machine, the channel or an app's
+// program builder that moves one event or one trace byte fails here first. The fixture up to
 // the watchdog trip was generated while a second, independent engine (a
 // closure interpreter over a std::function heap) still reproduced it
 // byte for byte; it is that engine's answers, kept as data. Regenerate
@@ -28,7 +29,9 @@
 #include <vector>
 
 #include "apps/scenarios.hpp"
+#include "apps/sink.hpp"
 #include "corpus/corpus.hpp"
+#include "net/topology.hpp"
 #include "obs/metrics.hpp"
 #include "trace/serialize.hpp"
 #include "util/hash.hpp"
@@ -90,6 +93,32 @@ void describe_case3(std::ostream& os, const std::string& run,
                     const apps::Case3Config& config) {
   apps::Case3Result r = apps::run_case3(config);
   describe_run(os, run, r.events_executed, r.traces);
+}
+
+/// A sink (node 0) fed directly by a random source (node 1) over a
+/// two-node chain. Cases I and II run both programs but recycle their
+/// traces inside the run, so only this world prints them.
+void describe_sink_source(std::ostream& os, std::uint64_t seed) {
+  sim::EventQueue queue;
+  util::Rng rng(seed);
+  net::Channel channel(queue, rng.substream("channel"));
+  os::Node sink_node(0, queue);
+  hw::RadioChip sink_chip(queue, sink_node.machine(), channel, 0,
+                          rng.substream("chip0"));
+  apps::SinkApp sink(sink_node, sink_chip);
+  os::Node source_node(1, queue);
+  hw::RadioChip source_chip(queue, source_node.machine(), channel, 1,
+                            rng.substream("chip1"));
+  apps::RandomSourceConfig config;
+  config.dst = 0;
+  apps::RandomSourceApp source(source_node, source_chip, config,
+                               rng.substream("source"));
+  net::make_chain(channel, {0, 1});
+  source.start();
+  queue.run_until(sim::cycles_from_seconds(5.0));
+  describe_run(os, "sink+source seconds=5 seed=" + std::to_string(seed),
+               queue.executed(),
+               {sink_node.take_trace(), source_node.take_trace()});
 }
 
 std::string sim_digests() {
@@ -291,6 +320,8 @@ std::string sim_digests() {
         describe_trace(os, run + " run=" + std::to_string(t.run), *t.trace);
     }
   }
+  for (std::uint64_t seed = 1; seed <= 2; ++seed)
+    describe_sink_source(os, seed);
   return os.str();
 }
 
