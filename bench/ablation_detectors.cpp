@@ -16,7 +16,6 @@
 #include "ml/kfd.hpp"
 #include "ml/ocsvm.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace sent;
 
@@ -27,19 +26,13 @@ struct NamedDetector {
   std::function<std::shared_ptr<core::OutlierDetector>()> make;
 };
 
-std::vector<NamedDetector> detectors(std::size_t jobs) {
+std::vector<NamedDetector> detectors() {
   return {
-      {"ocsvm-rbf",
-       [jobs] {
-         ml::OcsvmParams p;
-         p.threads = jobs;
-         return std::make_shared<ml::OneClassSvm>(p);
-       }},
+      {"ocsvm-rbf", [] { return std::make_shared<ml::OneClassSvm>(); }},
       {"ocsvm-linear",
-       [jobs] {
+       [] {
          ml::OcsvmParams p;
          p.kernel.type = ml::KernelType::Linear;
-         p.threads = jobs;
          return std::make_shared<ml::OneClassSvm>(p);
        }},
       {"pca", [] { return std::make_shared<ml::PcaDetector>(); }},
@@ -53,8 +46,8 @@ std::vector<NamedDetector> detectors(std::size_t jobs) {
 }
 
 void report_rows(util::Table& table, const std::string& case_name,
-                 const apps::Analysis& analyzed, std::size_t jobs) {
-  for (const auto& d : detectors(jobs)) {
+                 const apps::Analysis& analyzed) {
+  for (const auto& d : detectors()) {
     pipeline::AnalysisOptions options;
     options.detector = d.make();
     pipeline::AnalysisReport report =
@@ -72,10 +65,8 @@ void report_rows(util::Table& table, const std::string& case_name,
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("seed", "experiment seed", "5");
-  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 1;
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::size_t jobs = bench::parse_jobs(cli);
 
   bench::section("Ablation A1: outlier-detector comparison");
   util::Table table({"case", "detector", "samples", "buggy",
@@ -90,7 +81,7 @@ int main(int argc, char** argv) {
                {"III ctp-hang", apps::Case3Config{}, seed}};
   for (const auto& c : cases) {
     const apps::Simulation sim = apps::simulate(c.scenario, c.seed);
-    report_rows(table, c.name, sim.analyzed, jobs);
+    report_rows(table, c.name, sim.analyzed);
   }
 
   std::fputs(table.render().c_str(), stdout);

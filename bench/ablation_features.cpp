@@ -9,20 +9,18 @@
 #include "apps/scenarios.hpp"
 #include "bench_util.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace sent;
 
 namespace {
 
 void report_rows(util::Table& table, const std::string& case_name,
-                 const apps::Analysis& analyzed, std::size_t jobs) {
+                 const apps::Analysis& analyzed) {
   for (pipeline::FeatureKind kind :
        {pipeline::FeatureKind::InstructionCounter,
         pipeline::FeatureKind::CodeObject, pipeline::FeatureKind::Coarse}) {
     pipeline::AnalysisOptions options;
     options.features = kind;
-    options.detector = pipeline::default_detector(jobs);
     pipeline::AnalysisReport report =
         pipeline::analyze(analyzed.traces, analyzed.line, options);
     table.add_row({case_name, pipeline::to_string(kind),
@@ -37,10 +35,8 @@ void report_rows(util::Table& table, const std::string& case_name,
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("seed", "experiment seed", "5");
-  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 1;
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::size_t jobs = bench::parse_jobs(cli);
 
   bench::section("Ablation A2: interval featurization comparison");
   util::Table table(
@@ -54,7 +50,7 @@ int main(int argc, char** argv) {
                {"II busy-drop", apps::Case2Config{}, 3}};
   for (const auto& c : cases) {
     const apps::Simulation sim = apps::simulate(c.scenario, c.seed);
-    report_rows(table, c.name, sim.analyzed, jobs);
+    report_rows(table, c.name, sim.analyzed);
   }
 
   std::fputs(table.render().c_str(), stdout);

@@ -18,7 +18,6 @@
 #include "core/int_reti.hpp"
 #include "ml/ocsvm.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace sent;
 
@@ -33,8 +32,7 @@ struct Graded {
 
 // Rank custom interval windows built from (possibly several) traces.
 Graded grade(const std::vector<const trace::NodeTrace*>& traces,
-             const std::vector<std::vector<core::EventInterval>>& windows,
-             std::size_t jobs) {
+             const std::vector<std::vector<core::EventInterval>>& windows) {
   core::FeatureMatrix matrix;
   std::vector<bool> has_bug;
   for (std::size_t t = 0; t < traces.size(); ++t) {
@@ -48,9 +46,7 @@ Graded grade(const std::vector<const trace::NodeTrace*>& traces,
       has_bug.push_back(bug);
     }
   }
-  ml::OcsvmParams params;
-  params.threads = jobs;
-  ml::OneClassSvm svm(params);
+  ml::OneClassSvm svm;
   std::vector<double> scores = svm.score(matrix.values);
   auto ranked = core::rank_ascending(scores);
 
@@ -119,12 +115,10 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("seed", "experiment seed", "5");
   cli.add_flag("window-ms", "fixed-window width in ms", "20");
-  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 1;
 
   apps::Case1Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::size_t jobs = bench::parse_jobs(cli);
   apps::Case1Result r = apps::run_case1(config);
 
   std::vector<const trace::NodeTrace*> traces;
@@ -136,7 +130,7 @@ int main(int argc, char** argv) {
 
   auto add = [&](const std::string& name,
                  const std::vector<std::vector<core::EventInterval>>& w) {
-    Graded g = grade(traces, w, jobs);
+    Graded g = grade(traces, w);
     table.add_row({name, util::cell(g.samples), util::cell(g.buggy),
                    util::cell(g.first_rank), util::cell(g.precision5, 3)});
   };

@@ -10,7 +10,6 @@
 //   2. its accuracy decays as labels get noisier, quantifying the cost of
 //      the manual labelling Sentomist does not need.
 #include <cstdio>
-#include <functional>
 
 #include "apps/scenarios.hpp"
 #include "bench_util.hpp"
@@ -93,34 +92,16 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("seed", "experiment seed", "5");
   cli.add_flag("case", "case study to mine: I, II or all", "all");
-  bench::add_jobs_flag(cli, "simulation workers (the two case builds)");
   if (!cli.parse(argc, argv)) return 1;
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   const std::string which = cli.get("case");
   if (!bench::check_case(which, {"I", "II", "all"})) return 2;
-  const std::size_t jobs = bench::parse_jobs(cli);
   util::Rng rng(seed);
 
-  // The two case builds are independent sims; fan them over the pool when
-  // both are requested (pure build — printing stays in a fixed order).
-  LabeledCase case1, case2;
-  const bool want1 = which == "I" || which == "all";
-  const bool want2 = which == "II" || which == "all";
-  apps::Case1Config case1_config;
-  case1_config.sample_periods_ms = {20};
-  {
-    util::ThreadPool pool(want1 && want2 ? std::min<std::size_t>(jobs, 2)
-                                         : 1);
-    std::vector<std::function<void()>> builds;
-    if (want1)
-      builds.push_back([&] { case1 = build_case(case1_config, seed); });
-    if (want2)
-      builds.push_back([&] { case2 = build_case(apps::Case2Config{}, 3); });
-    pool.parallel_for(builds.size(),
-                      [&](std::size_t i) { builds[i](); });
-  }
-
-  if (want1) {
+  if (which == "I" || which == "all") {
+    apps::Case1Config case1_config;
+    case1_config.sample_periods_ms = {20};
+    const LabeledCase case1 = build_case(case1_config, seed);
     mine_and_print("E3 / case I, ground-truth labels (idealized best case)",
                    case1, case1.truth);
     mine_and_print("E3 / case I, 5% of good intervals mislabelled bad",
@@ -129,7 +110,8 @@ int main(int argc, char** argv) {
                    case1, corrupt_labels(case1.truth, 0.20, rng));
   }
 
-  if (want2) {
+  if (which == "II" || which == "all") {
+    const LabeledCase case2 = build_case(apps::Case2Config{}, 3);
     mine_and_print(
         "E3 / case II, ground-truth labels (function granularity fails)",
         case2, case2.truth);

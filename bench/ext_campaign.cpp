@@ -160,11 +160,10 @@ int run_durable(const util::Cli& cli, pipeline::CampaignOptions options,
   options.threads = jobs;
   options.journal_path = cli.get("journal");
   options.resume = cli.get_switch("resume");
-  options.max_retries = static_cast<std::size_t>(cli.get_int("retries"));
-  options.journal_flush_every =
-      static_cast<std::size_t>(cli.get_int("journal-flush"));
+  options.max_retries =
+      static_cast<std::size_t>(cli.get_nonneg_int("retries"));
   options.harness_faults.kill_after_appends =
-      static_cast<std::uint64_t>(cli.get_int("kill-after"));
+      static_cast<std::uint64_t>(cli.get_nonneg_int("kill-after"));
 
   bench::section("Extension E2 (durable): journaled campaign");
   std::printf("case %s, %zu seeds, --jobs %zu, journal %s%s\n",
@@ -320,16 +319,15 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
               std::size_t jobs) {
   const std::string case_name =
       cli.get("case") == "all" ? std::string("II") : cli.get("case");
-  options.runs = static_cast<std::size_t>(cli.get_int("scale"));
-  options.seed_batch = static_cast<std::size_t>(cli.get_int("batch"));
-  const std::size_t reps = static_cast<std::size_t>(cli.get_int("reps"));
+  options.runs = static_cast<std::size_t>(cli.get_nonneg_int("scale"));
+  const auto reps = static_cast<std::size_t>(cli.get_nonneg_int("reps"));
   const double intensity = cli.get_double("faults");
   const double min_efficiency = cli.get_double("min-efficiency");
 
   pipeline::CaseRunnerConfig pooled;
   pooled.intensity = intensity;
   pooled.event_budget =
-      static_cast<std::uint64_t>(cli.get_int("cycle-budget"));
+      static_cast<std::uint64_t>(cli.get_nonneg_int("cycle-budget"));
   pooled.trace_round_trip = intensity > 0.0;
   pipeline::CaseRunnerConfig fresh = pooled;
   fresh.pooled = false;
@@ -474,8 +472,6 @@ int main(int argc, char** argv) {
   cli.add_flag("reps", "timed repetitions per leg (median reported)", "3");
   cli.add_flag("warmup", "untimed warmup seeds before timing, 0 = none",
                "4");
-  cli.add_flag("batch",
-               "seeds claimed per pool task (0 = auto, DESIGN.md §15)", "0");
   cli.add_flag("scale",
                "scale mode: run ONE chaos campaign of this many seeds "
                "through serial/parallel/fresh legs (0 = off)", "0");
@@ -495,9 +491,6 @@ int main(int argc, char** argv) {
   cli.add_switch("resume", "durable mode: skip seeds already journaled");
   cli.add_flag("retries", "durable mode: bounded retries per failed seed",
                "0");
-  cli.add_flag("journal-flush",
-               "durable mode: per-worker journal append buffer size "
-               "(1 = append-through)", "1");
   cli.add_flag("kill-after",
                "durable mode: SIGKILL self after N journal appends "
                "(crash-resume smoke)", "0");
@@ -512,20 +505,19 @@ int main(int argc, char** argv) {
   if (!bench::check_case(case_name, {"I", "II", "III", "all"})) return 2;
 
   pipeline::CampaignOptions options;
-  options.runs = static_cast<std::size_t>(cli.get_int("runs"));
-  options.k = static_cast<std::size_t>(cli.get_int("top-k"));
+  options.runs = static_cast<std::size_t>(cli.get_nonneg_int("runs"));
+  options.k = static_cast<std::size_t>(cli.get_nonneg_int("top-k"));
   options.first_seed = static_cast<std::uint64_t>(cli.get_int("first-seed"));
-  options.seed_batch = static_cast<std::size_t>(cli.get_int("batch"));
   std::size_t jobs = bench::parse_jobs(cli);
 
   if (!cli.get("journal").empty()) return run_durable(cli, options, jobs);
   // The timed legs' phase tables read the registry's timers.
   obs::Registry::global().set_enabled(true);
-  if (cli.get_int("scale") > 0) return run_scale(cli, options, jobs);
+  if (cli.get_nonneg_int("scale") > 0) return run_scale(cli, options, jobs);
 
-  const auto reps =
-      std::max<std::size_t>(1, static_cast<std::size_t>(cli.get_int("reps")));
-  const auto warmup = static_cast<std::size_t>(cli.get_int("warmup"));
+  const auto reps = std::max<std::size_t>(
+      1, static_cast<std::size_t>(cli.get_nonneg_int("reps")));
+  const auto warmup = static_cast<std::size_t>(cli.get_nonneg_int("warmup"));
 
   bench::section("Extension E2: randomized campaigns (trigger vs detect)");
   std::printf("jobs: %zu, %zu timed rep(s) per leg (median), warmup %zu "

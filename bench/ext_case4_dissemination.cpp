@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
   std::fputs(format_ranking_table(report, /*with_run=*/false,
                                   /*with_node=*/true,
                                   static_cast<std::size_t>(
-                                      cli.get_int("rows")),
+                                      cli.get_nonneg_int("rows")),
                                   2)
                  .c_str(),
              stdout);

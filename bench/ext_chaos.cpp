@@ -126,12 +126,12 @@ int main(int argc, char** argv) {
   if (!bench::check_case(case_name, {"I", "II", "III"})) return 2;
 
   pipeline::CampaignOptions options;
-  options.runs = static_cast<std::size_t>(cli.get_int("runs"));
-  options.k = static_cast<std::size_t>(cli.get_int("top-k"));
+  options.runs = static_cast<std::size_t>(cli.get_nonneg_int("runs"));
+  options.k = static_cast<std::size_t>(cli.get_nonneg_int("top-k"));
   options.first_seed = static_cast<std::uint64_t>(cli.get_int("first-seed"));
-  options.max_retries = static_cast<std::size_t>(cli.get_int("retries"));
+  options.max_retries = static_cast<std::size_t>(cli.get_nonneg_int("retries"));
   const auto event_budget =
-      static_cast<std::uint64_t>(cli.get_int("cycle-budget"));
+      static_cast<std::uint64_t>(cli.get_nonneg_int("cycle-budget"));
   std::size_t jobs = bench::parse_jobs(cli);
 
   // Durable mode: one journaled chaos campaign at the --faults intensity.

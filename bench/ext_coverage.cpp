@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("runs", "seeds to sweep", "12");
   if (!cli.parse(argc, argv)) return 1;
-  auto runs = static_cast<std::size_t>(cli.get_int("runs"));
+  auto runs = static_cast<std::size_t>(cli.get_nonneg_int("runs"));
 
   bench::section(
       "Extension E7: interleaving coverage vs bug triggering (case I, "

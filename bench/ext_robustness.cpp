@@ -13,20 +13,17 @@
 #include "apps/scenarios.hpp"
 #include "bench_util.hpp"
 #include "util/cli.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace sent;
 
 namespace {
 
 void run_row(util::Table& table, const std::string& label,
-             apps::Case2Config config, std::size_t jobs) {
+             apps::Case2Config config) {
   apps::Case2Result r = apps::run_case2(config);
   const apps::Analysis analyzed = apps::analysis_of(r);
-  pipeline::AnalysisOptions options;
-  options.detector = pipeline::default_detector(jobs);
   pipeline::AnalysisReport report =
-      pipeline::analyze(analyzed.traces, analyzed.line, options);
+      pipeline::analyze(analyzed.traces, analyzed.line);
   table.add_row({label, util::cell(r.relay_received),
                  util::cell(r.relay_dropped_busy),
                  util::cell(report.first_bug_rank()),
@@ -42,10 +39,8 @@ void run_row(util::Table& table, const std::string& label,
 int main(int argc, char** argv) {
   util::Cli cli;
   cli.add_flag("seed", "experiment seed", "3");
-  bench::add_jobs_flag(cli);
   if (!cli.parse(argc, argv)) return 1;
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  std::size_t jobs = bench::parse_jobs(cli);
 
   bench::section("Extension E4: case II detection under channel impairments");
   util::Table table({"channel", "arrivals", "active drops",
@@ -54,14 +49,14 @@ int main(int argc, char** argv) {
   {
     apps::Case2Config config;
     config.seed = seed;
-    run_row(table, "clean", config, jobs);
+    run_row(table, "clean", config);
   }
   for (double loss : {0.05, 0.15}) {
     apps::Case2Config config;
     config.seed = seed;
     config.loss_rate = loss;
     run_row(table, "iid loss " + std::to_string(int(loss * 100)) + "%",
-            config, jobs);
+            config);
   }
   {
     apps::Case2Config config;
@@ -72,7 +67,7 @@ int main(int argc, char** argv) {
     model.p_good_to_bad = 0.02;
     model.p_bad_to_good = 0.2;
     config.gilbert_elliott = model;
-    run_row(table, "bursty (Gilbert-Elliott)", config, jobs);
+    run_row(table, "bursty (Gilbert-Elliott)", config);
   }
 
   std::fputs(table.render().c_str(), stdout);

@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  int reps = static_cast<int>(cli.get_int("reps"));
+  int reps = static_cast<int>(cli.get_nonneg_int("reps"));
   double min_mips = std::stod(cli.get("min-mips"));
 
   bench::section("Extension E6: interpreter-core throughput");

@@ -15,8 +15,6 @@
 
 #include "apps/scenarios.hpp"
 #include "ml/detectors.hpp"
-#include "ml/kfd.hpp"
-#include "ml/ocsvm.hpp"
 #include "pipeline/inspect.hpp"
 #include "pipeline/sentomist.hpp"
 #include "trace/serialize.hpp"
@@ -33,19 +31,6 @@ std::vector<std::string> split_commas(const std::string& s) {
   while (std::getline(ss, item, ','))
     if (!item.empty()) out.push_back(item);
   return out;
-}
-
-std::shared_ptr<core::OutlierDetector> make_detector(
-    const std::string& name) {
-  if (name == "ocsvm") return std::make_shared<ml::OneClassSvm>();
-  if (name == "pca") return std::make_shared<ml::PcaDetector>();
-  if (name == "knn") return std::make_shared<ml::KnnDetector>();
-  if (name == "lof") return std::make_shared<ml::LofDetector>();
-  if (name == "mahalanobis")
-    return std::make_shared<ml::MahalanobisDetector>();
-  if (name == "kfd") return std::make_shared<ml::KernelFisherDetector>();
-  std::fprintf(stderr, "unknown detector '%s'\n", name.c_str());
-  return nullptr;
 }
 
 pipeline::FeatureKind make_features(const std::string& name, bool& ok) {
@@ -112,13 +97,17 @@ int main(int argc, char** argv) {
   }
 
   pipeline::AnalysisOptions options;
-  options.detector = make_detector(cli.get("detector"));
-  if (!options.detector) return 1;
+  options.detector = ml::make_detector(cli.get("detector"));
+  if (!options.detector) {
+    std::fprintf(stderr, "unknown detector '%s'\n",
+                 cli.get("detector").c_str());
+    return 1;
+  }
   bool ok = false;
   options.features = make_features(cli.get("features"), ok);
   if (!ok) return 1;
-  auto k_localize = static_cast<std::size_t>(cli.get_int("localize"));
-  auto n_inspect = static_cast<std::size_t>(cli.get_int("inspect"));
+  auto k_localize = static_cast<std::size_t>(cli.get_nonneg_int("localize"));
+  auto n_inspect = static_cast<std::size_t>(cli.get_nonneg_int("inspect"));
   options.keep_features = k_localize > 0 || n_inspect > 0;
 
   std::vector<pipeline::TaggedTrace> tagged;
@@ -139,12 +128,11 @@ int main(int argc, char** argv) {
                   s.interval.seq_in_type + 1, e.score);
     }
   } else {
-    std::fputs(
-        format_ranking_table(report, /*with_run=*/traces.size() > 1,
-                             /*with_node=*/false,
-                             static_cast<std::size_t>(cli.get_int("top")), 2)
-            .c_str(),
-        stdout);
+    const auto top = static_cast<std::size_t>(cli.get_nonneg_int("top"));
+    std::fputs(format_ranking_table(report, /*with_run=*/traces.size() > 1,
+                                    /*with_node=*/false, top, 2)
+                   .c_str(),
+               stdout);
   }
 
   for (std::size_t pos = 0;

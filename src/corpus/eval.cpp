@@ -72,17 +72,6 @@ const std::vector<std::string>& detector_names() {
 
 namespace {
 
-std::shared_ptr<core::OutlierDetector> make_detector(
-    const std::string& name) {
-  if (name == "knn") return std::make_shared<ml::KnnDetector>();
-  if (name == "lof") return std::make_shared<ml::LofDetector>();
-  if (name == "pca") return std::make_shared<ml::PcaDetector>();
-  if (name == "mahalanobis")
-    return std::make_shared<ml::MahalanobisDetector>();
-  SENT_REQUIRE_MSG(false, "unknown plug-in detector");
-  return nullptr;
-}
-
 std::vector<bool> ranked_truth_of(
     const std::vector<pipeline::Sample>& samples,
     const std::vector<pipeline::RankedEntry>& ranking) {
@@ -235,7 +224,8 @@ SweepResult run_sweep(const std::vector<VariantSpec>& specs,
             pipeline::AnalysisReport alt;
             alt.samples = report.samples;
             pipeline::AnalysisOptions dopts;
-            dopts.detector = make_detector(name);
+            dopts.detector = ml::make_detector(name);
+            SENT_REQUIRE_MSG(dopts.detector, "unknown plug-in detector");
             pipeline::score_and_rank(alt, report.features, dopts);
             rt = ranked_truth_of(alt.samples, alt.ranking);
           }

@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "ml/eigen.hpp"
+#include "ml/kfd.hpp"
+#include "ml/ocsvm.hpp"
 #include "util/assert.hpp"
 #include "util/stats.hpp"
 
@@ -208,6 +210,17 @@ std::vector<double> MahalanobisDetector::score(const ml::Matrix& rows) {
     scores[r] = -std::sqrt(std::max(m2, 0.0));
   }
   return scores;
+}
+
+std::shared_ptr<core::OutlierDetector> make_detector(
+    const std::string& name) {
+  if (name == "ocsvm") return std::make_shared<OneClassSvm>();
+  if (name == "knn") return std::make_shared<KnnDetector>();
+  if (name == "lof") return std::make_shared<LofDetector>();
+  if (name == "pca") return std::make_shared<PcaDetector>();
+  if (name == "mahalanobis") return std::make_shared<MahalanobisDetector>();
+  if (name == "kfd") return std::make_shared<KernelFisherDetector>();
+  return nullptr;
 }
 
 }  // namespace sent::ml

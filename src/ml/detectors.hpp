@@ -6,10 +6,12 @@
 //
 // All follow the core convention: LOWER score = MORE suspicious. Distance-
 // like measures are negated so they rank the same way as the SVM's signed
-// boundary distance.
+// boundary distance. make_detector() is the one name -> detector table
+// (the corpus sweep and the analyze_traces tool both read it).
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/detector.hpp"
@@ -75,5 +77,11 @@ class MahalanobisDetector final : public core::OutlierDetector {
  private:
   double ridge_;
 };
+
+/// A detector by name, with default parameters: "ocsvm" (the one-class
+/// SVM, RBF), "knn", "lof", "pca", "mahalanobis" or "kfd" (the one-class
+/// kernel Fisher discriminant). nullptr for any other name.
+std::shared_ptr<core::OutlierDetector> make_detector(
+    const std::string& name);
 
 }  // namespace sent::ml

@@ -102,18 +102,6 @@ OneClassSvm::OneClassSvm(OcsvmParams params) : params_(params) {
   SENT_REQUIRE_MSG(params_.nu > 0.0 && params_.nu <= 1.0,
                    "nu must be in (0, 1]");
   SENT_REQUIRE(params_.tol > 0.0);
-  // One pool for the detector's lifetime (kernel build + decision_batch);
-  // never constructed per call.
-  if (params_.pool == nullptr && params_.threads > 1)
-    owned_pool_ = std::make_unique<util::ThreadPool>(params_.threads);
-}
-
-OneClassSvm::~OneClassSvm() = default;
-OneClassSvm::OneClassSvm(OneClassSvm&&) noexcept = default;
-OneClassSvm& OneClassSvm::operator=(OneClassSvm&&) noexcept = default;
-
-util::ThreadPool* OneClassSvm::pool() const {
-  return params_.pool != nullptr ? params_.pool : owned_pool_.get();
 }
 
 std::string OneClassSvm::name() const {
@@ -171,7 +159,7 @@ void OneClassSvm::solve(const Matrix& x) {
     obs::Span build_span(Metrics::get().kernel_build);
     const Matrix distinct = group_identical_rows(x, q.cls);
     q.u = distinct.rows();
-    build_kernel_matrix(params_.kernel, gamma_, distinct, pool(), q.k);
+    build_kernel_matrix(params_.kernel, gamma_, distinct, params_.pool, q.k);
   }
   Metrics::get().kernel_cells.inc(q.u * q.u);
   Metrics::get().distinct_rows.record(q.u);
@@ -423,9 +411,8 @@ std::vector<double> OneClassSvm::decision_batch(const Matrix& rows) const {
   Matrix z = scaler_.transform(rows);
   std::vector<double> out(z.rows());
   auto task = [&](std::size_t i) { out[i] = decision_scaled(z.row(i)); };
-  util::ThreadPool* p = pool();
-  if (p != nullptr) {
-    p->parallel_for(z.rows(), task);
+  if (params_.pool != nullptr) {
+    params_.pool->parallel_for(z.rows(), task);
   } else {
     for (std::size_t i = 0; i < z.rows(); ++i) task(i);
   }

@@ -23,12 +23,13 @@
 // drops below tol, so shrinking never changes the stopping criterion
 // (DESIGN.md §10). After fit the model is compacted to its support
 // vectors, so decision() and decision_batch() scale with the SV count,
-// not the training size. Parity is checked against a naive oracle
+// not the training size. The kernel build and decision_batch() run in
+// parallel only on a pool the caller passes in (OcsvmParams::pool); the
+// detector never builds one. Parity is checked against a naive oracle
 // (per-element Gram, first-order SMO, full-training-set decision sums)
 // that lives in tests/ocsvm_reference_test.cpp only.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -56,25 +57,16 @@ struct OcsvmParams {
   double tol = 1e-8;
   std::size_t max_iter = 200000;
 
-  /// Worker threads for the kernel-matrix build and decision_batch().
-  /// <= 1 runs inline. Every kernel entry is computed independently, so
-  /// results are bit-identical for any thread count. Ignored when `pool`
-  /// is set.
-  std::size_t threads = 1;
-
-  /// Borrowed pool to use instead of constructing one. When null and
-  /// threads > 1, the detector constructs one pool at creation time and
-  /// reuses it for every fit/decision_batch call (never per call).
+  /// Borrowed pool that the kernel-matrix build and decision_batch() fan
+  /// out across; null runs both inline. Every kernel entry and decision
+  /// value is computed independently, so results are bit-identical with
+  /// or without a pool, at any worker count.
   util::ThreadPool* pool = nullptr;
 };
 
 class OneClassSvm final : public core::OutlierDetector {
  public:
   explicit OneClassSvm(OcsvmParams params = {});
-  ~OneClassSvm() override;
-
-  OneClassSvm(OneClassSvm&&) noexcept;
-  OneClassSvm& operator=(OneClassSvm&&) noexcept;
 
   std::string name() const override;
 
@@ -98,8 +90,8 @@ class OneClassSvm final : public core::OutlierDetector {
   }
 
   /// decision() for a batch of points. The batch is standardized once and
-  /// rows fan out across the configured pool (rows are independent), so
-  /// values match calling decision() per row.
+  /// rows fan out across params.pool when one is set (rows are
+  /// independent), so values match calling decision() per row.
   std::vector<double> decision_batch(const Matrix& rows) const;
   std::vector<double> decision_batch(
       const std::vector<std::vector<double>>& rows) const {
@@ -115,7 +107,6 @@ class OneClassSvm final : public core::OutlierDetector {
 
  private:
   OcsvmParams params_;
-  std::unique_ptr<util::ThreadPool> owned_pool_;
   StandardScaler scaler_;
 
   // Compact model: support vectors only.
@@ -134,7 +125,6 @@ class OneClassSvm final : public core::OutlierDetector {
 
   struct ClassGram;
 
-  util::ThreadPool* pool() const;
   void solve(const Matrix& x);
   void smo(const ClassGram& q, std::size_t l, double c,
            std::vector<double>& g);

@@ -201,17 +201,12 @@ RunOutcome from_record(const JournalRecord& rec) {
   return out;
 }
 
-}  // namespace
-
-namespace {
-
-/// Auto batch size: enough batches for dynamic claiming to rebalance
-/// (8 per worker), but never so large that one worker hoards the tail.
-std::size_t effective_seed_batch(const CampaignOptions& options) {
-  if (options.seed_batch != 0) return options.seed_batch;
+/// Seeds each pool task claims: enough chunks for dynamic claiming to
+/// rebalance (8 per worker), but never so large that one worker hoards the
+/// tail. A scheduling choice only; aggregation is seed-ordered.
+std::size_t seed_chunk(const CampaignOptions& options) {
   const std::size_t workers = std::max<std::size_t>(options.threads, 1);
-  const std::size_t batch = options.runs / (8 * workers);
-  return std::clamp<std::size_t>(batch, 1, 64);
+  return std::clamp<std::size_t>(options.runs / (8 * workers), 1, 64);
 }
 
 }  // namespace
@@ -221,8 +216,6 @@ CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
   SENT_REQUIRE(factory != nullptr);
   SENT_REQUIRE(options.runs >= 1);
   SENT_REQUIRE(options.k >= 1);
-  SENT_REQUIRE(options.journal_commit_every >= 1);
-  SENT_REQUIRE(options.journal_flush_every >= 1);
   SENT_REQUIRE_MSG(!options.resume || !options.journal_path.empty(),
                    "resume requires a journal_path");
   SENT_REQUIRE_MSG(options.max_retries == 0 || options.retry_seed_offset > 0,
@@ -269,9 +262,8 @@ CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
       }
     }
     Metrics::get().journal_recovered.inc(keep.size());
-    journal = std::make_unique<JournalWriter>(
-        options.journal_path, meta, std::move(keep),
-        options.journal_commit_every);
+    journal = std::make_unique<JournalWriter>(options.journal_path, meta,
+                                              std::move(keep));
     if (inj) {
       journal->set_commit_hook([inj](std::uint64_t commit_index,
                                      std::string& bytes) {
@@ -291,59 +283,46 @@ CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
     }
   }
 
-  // Fan the seeds out in contiguous batches; each outcome slot is written
+  // Fan the seeds out in contiguous chunks; each outcome slot is written
   // by exactly one invocation, so the hot loop carries no shared mutex
-  // (the journal, when enabled, is the one shared structure — and
-  // journal_flush_every batches its lock traffic). Journaled seeds
-  // short-circuit: their outcome is reconstructed, not re-run, which is
-  // what makes a resumed 10k campaign pick up where the crash left it.
+  // (the journal, when enabled, is the one shared structure). Journaled
+  // seeds short-circuit: their outcome is reconstructed, not re-run, which
+  // is what makes a resumed 10k campaign pick up where the crash left it.
   std::vector<RunOutcome> outcomes(options.runs);
   util::ThreadPool pool(options.threads);
 
   // Per-worker amortized state (DESIGN.md §15). The runner is built
   // lazily, on the worker's own thread, at its first non-resumed seed — a
   // fully resumed campaign never invokes the factory at all.
-  struct WorkerState {
-    ScenarioRunner runner;
-    std::vector<JournalRecord> pending;  ///< journal append buffer
-  };
-  std::vector<WorkerState> workers(std::max<std::size_t>(pool.size(), 1));
-
-  const std::size_t flush_every = options.journal_flush_every;
-  auto flush_pending = [&](WorkerState& ws) {
-    if (!journal || ws.pending.empty()) return;
-    journal->append_batch(ws.pending);
-    // The kill hook fires AFTER the append so the journaled prefix is
-    // exactly what a resumed campaign will find.
-    if (inj) inj->maybe_kill(journal->appended());
-  };
+  std::vector<ScenarioRunner> runners(std::max<std::size_t>(pool.size(), 1));
 
   pool.parallel_for_indexed(
-      options.runs, effective_seed_batch(options),
+      options.runs, seed_chunk(options),
       [&](std::size_t worker, std::size_t i) {
         const std::uint64_t seed = options.first_seed + i;
         if (auto it = resumed.find(seed); it != resumed.end()) {
           outcomes[i] = it->second;
           return;
         }
-        WorkerState& ws = workers[worker];
-        if (!ws.runner) {
-          ws.runner = factory(worker);
-          SENT_REQUIRE(ws.runner != nullptr);
+        ScenarioRunner& runner = runners[worker];
+        if (!runner) {
+          runner = factory(worker);
+          SENT_REQUIRE(runner != nullptr);
         }
         {
           obs::Span run_span(Metrics::get().run, seed);
-          outcomes[i] = run_with_retries(ws.runner, seed, options, inj);
+          outcomes[i] = run_with_retries(runner, seed, options, inj);
         }
         if (journal) {
-          ws.pending.push_back(to_record(seed, outcomes[i]));
-          if (ws.pending.size() >= flush_every) flush_pending(ws);
+          journal->append(to_record(seed, outcomes[i]));
+          // The kill hook fires AFTER the append so the journaled prefix
+          // is exactly what a resumed campaign will find.
+          if (inj) inj->maybe_kill(journal->appended());
         }
       });
-  // Drain any buffered journal tails (worker order — the records carry
-  // their seeds, so journal order never matters) and land the final commit.
-  for (WorkerState& ws : workers) flush_pending(ws);
-  if (journal) journal->commit();  // flush any batched tail
+  // A failed commit keeps its records for the next one; this last commit
+  // lands any that the final appends' commits lost.
+  if (journal) journal->commit();
 
   // Aggregate in seed order so parallel output is bit-identical to serial
   // — and so a resumed campaign, whose fresh runs interleave with

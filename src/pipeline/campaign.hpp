@@ -11,9 +11,11 @@
 //
 // Seeded runs are fully isolated — each owns its EventQueue, Nodes and
 // Rng — so a campaign is embarrassingly parallel. CampaignOptions::threads
-// fans seeds out across a util::ThreadPool; per-seed outcomes are always
-// aggregated in seed order, so the resulting CampaignStats (including
-// first_ranks order) is bit-identical to a serial campaign.
+// fans seeds out across a util::ThreadPool in contiguous chunks of
+// runs / (8 * threads) seeds, clamped to [1, 64] (DESIGN.md §15); per-seed
+// outcomes are always aggregated in seed order, so the resulting
+// CampaignStats (including first_ranks order) is bit-identical to a serial
+// campaign.
 #pragma once
 
 #include <cstdint>
@@ -118,37 +120,17 @@ struct CampaignOptions {
   std::uint64_t retry_seed_offset = 1'000'000'007;
 
   /// Durability (DESIGN.md §13). Non-empty journal_path journals every
-  /// outcome; resume additionally skips seeds already journaled (the file
-  /// must carry a matching {first_seed, runs, k} meta line). Resume with
-  /// no/damaged journal file starts fresh. journal_commit_every batches
-  /// atomic commits (1 = maximum durability; a crash can lose at most the
-  /// outcomes appended since the last commit, which resume re-runs).
+  /// outcome as it finishes, one atomic commit per outcome; resume
+  /// additionally skips seeds already journaled (the file must carry a
+  /// matching {first_seed, runs, k} meta line). Resume with no/damaged
+  /// journal file starts fresh.
   std::string journal_path;
   bool resume = false;
-  std::uint64_t journal_commit_every = 1;
 
   /// Harness self-chaos (DESIGN.md §13): injected failures aimed at the
   /// campaign machinery itself. Deterministic per (plan, seed/commit), so
   /// chaos campaigns stay bit-identical across --jobs and across resumes.
   fault::HarnessFaultPlan harness_faults;
-
-  /// Seed batching (DESIGN.md §15): each pool task claims this many
-  /// consecutive seeds from the shared atomic counter, amortizing dispatch
-  /// and keeping a worker's arena cache-warm across a contiguous seed
-  /// range. 0 = auto: runs / (8 * threads), clamped to [1, 64]. Purely a
-  /// scheduling knob — aggregation stays seed-ordered and bit-identical
-  /// for every batch size.
-  std::size_t seed_batch = 0;
-
-  /// Durable-mode append buffering (DESIGN.md §15): each worker buffers
-  /// this many outcome records locally before pushing them to the shared
-  /// JournalWriter in one locked batch. 1 (the default) appends through —
-  /// every outcome is visible to the commit/kill machinery immediately,
-  /// the exact legacy crash granularity. Larger values trade crash-window
-  /// size for less lock traffic on the hot loop; a crash can additionally
-  /// lose up to threads * (journal_flush_every - 1) unflushed outcomes,
-  /// which resume simply re-runs.
-  std::size_t journal_flush_every = 1;
 };
 
 /// Run `runner` for seeds first_seed .. first_seed + runs - 1, fanning the

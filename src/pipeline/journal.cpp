@@ -220,12 +220,10 @@ JournalRecovery recover_journal(const std::string& path) {
 }
 
 JournalWriter::JournalWriter(std::string path, JournalMeta meta,
-                             std::vector<JournalRecord> recovered,
-                             std::uint64_t commit_every)
+                             std::vector<JournalRecord> recovered)
     : path_(std::move(path)),
       tmp_path_(path_ + ".tmp"),
       meta_(meta),
-      commit_every_(commit_every == 0 ? 1 : commit_every),
       records_(std::move(recovered)) {
   SENT_REQUIRE(!path_.empty());
   // Establish the file immediately: creates a fresh journal, or atomically
@@ -242,18 +240,7 @@ void JournalWriter::append(const JournalRecord& record) {
   std::lock_guard<std::mutex> lock(mutex_);
   records_.push_back(record);
   ++appended_;
-  if (appended_ % commit_every_ == 0) commit_locked();
-}
-
-void JournalWriter::append_batch(std::vector<JournalRecord>& records) {
-  if (records.empty()) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (JournalRecord& record : records) {
-    records_.push_back(std::move(record));
-    ++appended_;
-    if (appended_ % commit_every_ == 0) commit_locked();
-  }
-  records.clear();
+  commit_locked();
 }
 
 bool JournalWriter::commit() {

@@ -21,9 +21,12 @@
 // seed supersedes an earlier one.
 //
 // Durability model:
-//   * commits are atomic: the full contents are written to <path>.tmp and
-//     renamed over <path>, so a crash leaves either the old or the new
-//     journal, never an interleaving;
+//   * every append commits, and commits are atomic: the full contents are
+//     written to <path>.tmp and renamed over <path>, so a crash leaves
+//     either the old or the new journal, never an interleaving, and loses
+//     at most the outcomes still running. Each commit rewrites every
+//     record, so a campaign's journal work grows with the square of its
+//     run count;
 //   * recovery never aborts: recover_journal() validates checksums line
 //     by line and truncates at the first torn/corrupt record, salvaging
 //     the valid prefix (a corrupt record is dropped, never resurrected);
@@ -93,8 +96,8 @@ std::string format_journal_record(const JournalRecord& record);
 
 /// Append-only journal writer with atomic commits. Thread-safe: campaign
 /// pool workers append concurrently; records are kept in memory (they are
-/// ~100 bytes each) and every commit atomically rewrites the file via
-/// temp-file + rename.
+/// ~100 bytes each) and every append commits, atomically rewriting the
+/// whole file via temp-file + rename.
 class JournalWriter {
  public:
   /// Chaos/test hook, called with the serialized bytes just before each
@@ -108,27 +111,18 @@ class JournalWriter {
   /// `meta`. `recovered` seeds the record set (pass the recovery's
   /// records when resuming, empty otherwise); the file is committed
   /// immediately, which atomically drops any corrupt tail found by
-  /// recovery. commit_every >= 1: a commit lands after every N appends
-  /// (and on the final explicit commit()).
+  /// recovery.
   JournalWriter(std::string path, JournalMeta meta,
-                std::vector<JournalRecord> recovered,
-                std::uint64_t commit_every = 1);
+                std::vector<JournalRecord> recovered);
 
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
 
   void set_commit_hook(CommitHook hook);
 
-  /// Append one record; commits per the commit_every policy. Never
-  /// throws on IO problems (see io_errors()).
+  /// Append one record and commit. Never throws on IO problems (see
+  /// io_errors()).
   void append(const JournalRecord& record);
-
-  /// Append many records under a single lock acquisition — the durable
-  /// campaign's per-worker buffering path (DESIGN.md §15). Equivalent to
-  /// calling append() per record (a commit lands every time the running
-  /// append count crosses a multiple of commit_every), minus the per-record
-  /// lock traffic. `records` is drained.
-  void append_batch(std::vector<JournalRecord>& records);
 
   /// Atomically write the full contents (temp-file + rename). Returns
   /// false — and keeps every record buffered for the next attempt — on
@@ -147,7 +141,6 @@ class JournalWriter {
   const std::string path_;
   const std::string tmp_path_;
   const JournalMeta meta_;
-  const std::uint64_t commit_every_;
 
   mutable std::mutex mutex_;
   std::vector<JournalRecord> records_;

@@ -70,20 +70,6 @@ std::shared_ptr<core::OutlierDetector> default_detector() {
   return std::make_shared<ml::OneClassSvm>();
 }
 
-std::shared_ptr<core::OutlierDetector> default_detector(
-    std::size_t threads) {
-  ml::OcsvmParams params;
-  params.threads = threads;
-  return std::make_shared<ml::OneClassSvm>(params);
-}
-
-std::shared_ptr<core::OutlierDetector> default_detector(
-    util::ThreadPool& pool) {
-  ml::OcsvmParams params;
-  params.pool = &pool;
-  return std::make_shared<ml::OneClassSvm>(params);
-}
-
 namespace {
 
 core::FeatureMatrix featurize(const trace::NodeTrace& trace,
@@ -176,10 +162,12 @@ void score_and_rank(AnalysisReport& report, core::FeatureMatrix matrix,
                     const AnalysisOptions& options) {
   SENT_REQUIRE_MSG(matrix.size() == report.samples.size(),
                    "feature rows and samples out of step");
-  std::shared_ptr<core::OutlierDetector> detector =
-      options.detector   ? options.detector
-      : options.pool     ? default_detector(*options.pool)
-                         : default_detector();
+  std::shared_ptr<core::OutlierDetector> detector = options.detector;
+  if (!detector) {
+    ml::OcsvmParams params;
+    params.pool = options.pool;
+    detector = std::make_shared<ml::OneClassSvm>(params);
+  }
   report.detector_name = detector->name();
   report.feature_dim = matrix.dim();
 

@@ -59,7 +59,8 @@ struct AnalysisOptions {
   /// Keep the feature matrix on the report (needed for localize_top_k).
   bool keep_features = false;
   /// Borrowed pool for the default detector's kernel build and batch
-  /// scoring (ignored when `detector` is set). nullptr runs inline.
+  /// scoring, handed to its OcsvmParams::pool (ignored when `detector` is
+  /// set). nullptr runs inline; scores are identical either way.
   util::ThreadPool* pool = nullptr;
 };
 
@@ -119,16 +120,6 @@ std::string format_ranking_table(const AnalysisReport& report,
 
 /// Construct the default detector (one-class SVM, RBF, nu=0.05).
 std::shared_ptr<core::OutlierDetector> default_detector();
-
-/// Default detector with its kernel-matrix build spread over `threads`
-/// pool workers (scores are identical for any thread count). The pool is
-/// constructed once inside the detector, not per call.
-std::shared_ptr<core::OutlierDetector> default_detector(
-    std::size_t threads);
-
-/// Default detector sharing a caller-owned pool (no pool construction).
-std::shared_ptr<core::OutlierDetector> default_detector(
-    util::ThreadPool& pool);
 
 /// Bug localization (paper §VII): contrast the k most suspicious intervals
 /// against the rest and rank static instructions / code objects by how

@@ -334,24 +334,27 @@ TEST(WorkerPoolPhases, ShardsCountEveryCompletedRun) {
   EXPECT_EQ(plain.to_json(), serial.to_json());
 }
 
-// Seed batching must not move stats: any chunk size aggregates in seed
-// order, bit-identically to serial.
+// Seed chunking must not move stats: the chunk each pool task claims
+// (runs / (8 * threads), clamped to [1, 64]) only schedules, and
+// aggregation stays seed-ordered, so every leg is bit-identical to a
+// serial campaign of the same run count. The legs cover a chunk of 1
+// (24 runs, 4 threads) and a chunk of 3 that does not divide the run
+// count (56 runs, 2 threads).
 TEST(WorkerPoolBatching, SeedBatchSizeNeverMovesStats) {
-  CampaignOptions serial;
-  serial.first_seed = 1;
-  serial.runs = 24;
-  serial.k = 5;
-  serial.threads = 1;
-  CampaignStats golden =
-      run_campaign(make_case_runner_factory("II", {}), serial);
-  for (std::size_t batch : {std::size_t{1}, std::size_t{4}, std::size_t{7},
-                            std::size_t{64}}) {
-    CampaignOptions options = serial;
-    options.threads = 4;
-    options.seed_batch = batch;
-    EXPECT_EQ(run_campaign(make_case_runner_factory("II", {}), options),
-              golden)
-        << "seed_batch " << batch;
+  const struct {
+    std::size_t runs, threads;
+  } legs[] = {{24, 4}, {56, 2}};
+  for (const auto& leg : legs) {
+    CampaignOptions serial;
+    serial.first_seed = 1;
+    serial.runs = leg.runs;
+    serial.k = 5;
+    serial.threads = 1;
+    CampaignOptions parallel = serial;
+    parallel.threads = leg.threads;
+    EXPECT_EQ(run_campaign(make_case_runner_factory("II", {}), parallel),
+              run_campaign(make_case_runner_factory("II", {}), serial))
+        << leg.runs << " runs, " << leg.threads << " threads";
   }
 }
 
