@@ -13,23 +13,24 @@
 // nu upper-bounds the fraction of training points scored as outliers and
 // lower-bounds the fraction of support vectors.
 //
-// The solver builds the Gram over the U distinct rows of the
-// standardized training matrix only (Sentomist's intervals repeat a few
-// feature rows many times) and reads Q_ij through each row's class, so
-// memory is O(U^2 + l) and bitwise-identical rows get bitwise-identical
-// scores. It uses second-order working-set selection (LIBSVM's WSS2) with
-// shrinking of bound variables over all l dual variables; convergence is
-// only declared when the maximal KKT violation over the FULL variable set
-// drops below tol, so shrinking never changes the stopping criterion
-// (DESIGN.md §10). After fit the model is compacted to its support
-// vectors, so decision() and decision_batch() scale with the SV count,
-// not the training size. The kernel build and decision_batch() run in
-// parallel only on a pool the caller passes in (OcsvmParams::pool); the
-// detector never builds one. Parity is checked against a naive oracle
-// (per-element Gram, first-order SMO, full-training-set decision sums)
-// that lives in tests/ocsvm_reference_test.cpp only.
+// Sentomist's intervals repeat a few feature rows many times, so the fit
+// works on the U classes of bitwise-identical standardized rows: it
+// standardizes and builds the Gram over one representative per class
+// (memory O(U^2 + l)), and bitwise-identical rows get bitwise-identical
+// scores. Second-order working-set selection (LIBSVM's WSS2) with
+// shrinking keeps one dual variable per row and picks rows, but runs its
+// gradient arithmetic once per class, bit for bit as a per-row solver
+// would; convergence is only declared when the maximal KKT violation over
+// the FULL variable set drops below tol (DESIGN.md §10). After fit the
+// model is compacted to its support vectors, so decision() and
+// decision_batch() scale with the SV count. The kernel build and
+// decision_batch() run in parallel only on a pool the caller passes in
+// (OcsvmParams::pool). Parity is checked against a naive oracle in
+// tests/ocsvm_reference_test.cpp; tests/golden/ocsvm_digests.txt pins
+// the detector's own answers.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -123,10 +124,10 @@ class OneClassSvm final : public core::OutlierDetector {
   bool converged_ = false;
   bool fitted_ = false;
 
-  struct ClassGram;
-
-  void solve(const Matrix& x);
-  void smo(const ClassGram& q, std::size_t l, double c,
+  void solve(const std::vector<double>& k, std::size_t u,
+             const std::vector<std::uint32_t>& cls);
+  void smo(const std::vector<double>& k,
+           const std::vector<std::uint32_t>& cls, double c,
            std::vector<double>& g);
   double decision_scaled(std::span<const double> z) const;
 };

@@ -327,23 +327,26 @@ TEST(Ocsvm, IdenticalRowsScoreEqually) {
   for (double s : scores) EXPECT_EQ(s, scores[0]);
 }
 
+// Turns the global metrics registry on for one test and restores it after.
+struct RegistryOn {
+  obs::Registry& reg = obs::Registry::global();
+  bool was_enabled = reg.enabled();
+  RegistryOn() { reg.set_enabled(true); }
+  ~RegistryOn() { reg.set_enabled(was_enabled); }
+};
+
+obs::HistogramData distinct_rows(const obs::Snapshot& snap) {
+  const obs::HistogramData* h = snap.histogram_data("ml.distinct_rows_per_fit");
+  return h == nullptr ? obs::HistogramData{} : *h;
+}
+
 // The fit builds its Gram over the distinct rows only (DESIGN.md §10),
 // checked by count rather than by time: one fit of a pooled-I-shaped
 // matrix records 33 distinct rows and builds 33 x 33 kernel cells, not
 // 1137 x 1137.
 TEST(Ocsvm, GramIsBuiltOverDistinctRows) {
-  obs::Registry& reg = obs::Registry::global();
-  struct Restore {
-    obs::Registry& reg;
-    bool enabled = reg.enabled();
-    ~Restore() { reg.set_enabled(enabled); }
-  } restore{reg};
-  reg.set_enabled(true);
-  auto distinct_rows = [](const obs::Snapshot& snap) {
-    const obs::HistogramData* h =
-        snap.histogram_data("ml.distinct_rows_per_fit");
-    return h == nullptr ? obs::HistogramData{} : *h;
-  };
+  RegistryOn on;
+  obs::Registry& reg = on.reg;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     std::vector<std::size_t> group;
     Matrix x = duplicated_counts(seed, group);
@@ -359,6 +362,57 @@ TEST(Ocsvm, GramIsBuiltOverDistinctRows) {
               33u * 33u)
         << "seed " << seed;
   }
+}
+
+// Six distinct raw rows, two of which differ only by 0.0 against 1e-300 in
+// a column of larger values: standardizing maps both to the same double.
+// (The same matrix is the "collapse" line of tests/golden/ocsvm_digests.txt.)
+Matrix collapsing_rows() {
+  const double rows[6][2] = {{0.0, 0.0}, {1e-300, 0.0}, {1.0, 1.0},
+                             {2.0, 1.0}, {3.0, 2.0},    {4.0, 2.0}};
+  util::Rng rng(0xc011);
+  Matrix x(0, 2);
+  for (std::size_t i = 0; i < 60; ++i) x.append_row(rows[rng.below(6)]);
+  return x;
+}
+
+// The SMO does its gradient arithmetic once per class of identical rows
+// (DESIGN.md §10), checked by count rather than by time. A pooled-I-shaped
+// fit (33 classes, no shrink cycle before convergence) writes 33 gradient
+// entries for each of the 57 rows with a nonzero starting alpha (nu * l =
+// 56.85: 56 rows at C and one at 0.85 C) and 33 per iteration. Rows that
+// are distinct raw but identical once standardized share a class: the
+// collapse matrix fits over 5 classes, not 6.
+TEST(Ocsvm, SmoUpdatesOneGradientPerClass) {
+  RegistryOn on;
+  obs::Registry& reg = on.reg;
+  auto delta = [](const obs::Snapshot& before, const obs::Snapshot& after,
+                  const char* name) {
+    return after.counter_value(name) - before.counter_value(name);
+  };
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    std::vector<std::size_t> group;
+    Matrix x = duplicated_counts(seed, group);
+    const obs::Snapshot before = reg.snapshot();
+    OneClassSvm svm;
+    svm.fit(x);
+    const obs::Snapshot after = reg.snapshot();
+    ASSERT_EQ(delta(before, after, "ml.smo_shrink_cycles"), 0u);
+    EXPECT_EQ(delta(before, after, "ml.smo_gradient_updates"),
+              (57 + svm.iterations_used()) * 33)
+        << "seed " << seed;
+  }
+
+  Matrix x = collapsing_rows();
+  std::vector<std::vector<double>> raw = x.to_rows();
+  std::sort(raw.begin(), raw.end());
+  ASSERT_EQ(std::unique(raw.begin(), raw.end()) - raw.begin(), 6);
+  const obs::Snapshot before = reg.snapshot();
+  OneClassSvm svm;
+  svm.fit(x);
+  const obs::Snapshot after = reg.snapshot();
+  EXPECT_EQ(distinct_rows(after).sum - distinct_rows(before).sum, 5u);
+  EXPECT_EQ(delta(before, after, "ml.kernel_cells_built"), 25u);
 }
 
 // Bit patterns: == on doubles would call -0.0 and 0.0 equal and a NaN
