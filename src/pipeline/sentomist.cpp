@@ -31,6 +31,7 @@ struct Metrics {
   obs::Phase analyze{"pipeline.analyze"};
   obs::Phase anatomize{"pipeline.anatomize"};
   obs::Phase featurize{"pipeline.featurize"};
+  obs::Phase samples{"pipeline.samples"};
   obs::Phase score{"pipeline.score"};
   obs::Phase rank{"pipeline.rank"};
 
@@ -113,16 +114,16 @@ AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
       obs::Span anatomize_span(Metrics::get().anatomize);
       core::Anatomizer anatomizer(node_trace);
       intervals = anatomizer.intervals_for(line);
-    }
-    if (options.drop_truncated) {
-      auto is_truncated = [](const core::EventInterval& i) {
-        return i.truncated;
-      };
-      Metrics::get().truncated_dropped.inc(static_cast<std::uint64_t>(
-          std::count_if(intervals.begin(), intervals.end(), is_truncated)));
-      intervals.erase(std::remove_if(intervals.begin(), intervals.end(),
-                                     is_truncated),
-                      intervals.end());
+      if (options.drop_truncated) {
+        auto is_truncated = [](const core::EventInterval& i) {
+          return i.truncated;
+        };
+        Metrics::get().truncated_dropped.inc(static_cast<std::uint64_t>(
+            std::count_if(intervals.begin(), intervals.end(), is_truncated)));
+        intervals.erase(std::remove_if(intervals.begin(), intervals.end(),
+                                       is_truncated),
+                        intervals.end());
+      }
     }
     Metrics::get().intervals.inc(intervals.size());
     if (intervals.empty()) continue;
@@ -132,8 +133,8 @@ AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
       obs::Span featurize_span(Metrics::get().featurize);
       part = featurize(node_trace, intervals, options.features);
     }
+    obs::Span samples_span(Metrics::get().samples);
     core::append_rows(matrix, part);
-
     for (const auto& interval : intervals) {
       Sample s;
       s.node_id = node_trace.node_id;
