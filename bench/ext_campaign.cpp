@@ -505,8 +505,8 @@ int main(int argc, char** argv) {
   if (!bench::check_case(case_name, {"I", "II", "III", "all"})) return 2;
 
   pipeline::CampaignOptions options;
-  options.runs = static_cast<std::size_t>(cli.get_nonneg_int("runs"));
-  options.k = static_cast<std::size_t>(cli.get_nonneg_int("top-k"));
+  options.runs = static_cast<std::size_t>(cli.get_positive_int("runs"));
+  options.k = static_cast<std::size_t>(cli.get_positive_int("top-k"));
   options.first_seed = static_cast<std::uint64_t>(cli.get_int("first-seed"));
   std::size_t jobs = bench::parse_jobs(cli);
 

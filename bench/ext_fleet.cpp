@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
   bench::ObsSession obs_session(cli);
 
-  const auto streams = static_cast<std::size_t>(cli.get_nonneg_int("streams"));
+  const auto streams = static_cast<std::size_t>(cli.get_positive_int("streams"));
   const auto first_seed =
       static_cast<std::uint64_t>(cli.get_int("first-seed"));
   const double run_seconds = cli.get_double("run-seconds");

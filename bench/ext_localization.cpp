@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   cli.add_flag("top-k", "suspicious intervals to contrast", "3");
   if (!cli.parse(argc, argv)) return 1;
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  auto k = static_cast<std::size_t>(cli.get_nonneg_int("top-k"));
+  auto k = static_cast<std::size_t>(cli.get_positive_int("top-k"));
 
   const struct {
     const char* title;

@@ -121,15 +121,21 @@ cmake --build build-asan -j "${JOBS}" \
 
 # Count flags are read as non-negative integers: a negative count is a
 # usage error (exit 2), never a wrapped size_t that crashes the binary.
+# Counts whose consumer needs at least one are read as positive integers,
+# so 0 is a usage error too, not a crash or a failed precondition.
 for cmd in "fig5a_data_pollution --rows -1" "ext_chaos --runs -1" \
   "ext_campaign --runs -2" "ext_fleet --streams -1" \
-  "ext_localization --top-k -1"; do
+  "ext_localization --top-k -1" "ext_fleet --streams 0" \
+  "ext_campaign --runs 0" "ext_campaign --top-k 0 --runs 2" \
+  "ext_chaos --runs 0" "ext_chaos --top-k 0 --runs 2" \
+  "ext_corpus --top-k 0 --variants smoke --seeds 1" \
+  "ext_localization --top-k 0"; do
   set +e
   ./build/bench/${cmd} > /dev/null 2>&1
   STATUS=$?
   set -e
   if [ "${STATUS}" -ne 2 ]; then
-    echo "negative count: '${cmd}' exited ${STATUS}, expected 2" >&2
+    echo "bad count: '${cmd}' exited ${STATUS}, expected 2" >&2
     exit 1
   fi
 done

@@ -112,6 +112,12 @@ std::int64_t Cli::get_nonneg_int(const std::string& name) const {
   return v;
 }
 
+std::int64_t Cli::get_positive_int(const std::string& name) const {
+  const std::int64_t v = get_int(name);
+  if (v < 1) bad_value(name, get(name), "a positive integer");
+  return v;
+}
+
 double Cli::get_double(const std::string& name) const {
   const std::string value = get(name);
   try {

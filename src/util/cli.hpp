@@ -30,6 +30,9 @@ class Cli {
   /// Count-like flags (--jobs, --runs) use this so "--jobs -3" exits 2
   /// instead of wrapping to a huge unsigned count.
   std::int64_t get_nonneg_int(const std::string& name) const;
+  /// get_int that rejects values below 1 with a usage error, for counts
+  /// whose consumer needs at least one (--runs, --top-k, --streams).
+  std::int64_t get_positive_int(const std::string& name) const;
   double get_double(const std::string& name) const;
   bool get_switch(const std::string& name) const;
 

@@ -57,6 +57,21 @@ TEST(CliDeathTest, NegativeCountIsUsageError) {
               "flag --jobs expects a non-negative integer, got '-3'");
 }
 
+// Counts whose consumer needs at least one (--runs, --top-k) go through
+// get_positive_int: 0 is a usage error, not a failed precondition later.
+TEST(CliDeathTest, ZeroCountIsUsageErrorForPositiveCounts) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--jobs=0"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(cli.get_nonneg_int("jobs"), 0);  // a non-negative count allows it
+  EXPECT_EXIT(cli.get_positive_int("jobs"), ::testing::ExitedWithCode(2),
+              "flag --jobs expects a positive integer, got '0'");
+  Cli one = make_cli();
+  const char* argv_one[] = {"prog", "--jobs=1"};
+  ASSERT_TRUE(one.parse(2, argv_one));
+  EXPECT_EQ(one.get_positive_int("jobs"), 1);
+}
+
 TEST(Cli, NonnegIntAcceptsZeroAndPositive) {
   Cli cli = make_cli();
   const char* argv[] = {"prog", "--jobs=0"};
