@@ -281,12 +281,6 @@ Case3Result run_case3(const Case3Config& config, WorldArena* arena) {
 
 // ------------------------------------------------------------- case IV
 
-std::size_t Case4Result::corrupted_nodes() const {
-  std::size_t n = 0;
-  for (const auto& s : stats) n += s.corrupted;
-  return n;
-}
-
 std::uint64_t Case4Result::total_torn() const {
   std::uint64_t n = 0;
   for (const auto& s : stats) n += s.torn_broadcasts;

@@ -228,7 +228,6 @@ struct Case4Result {
   /// version sweeps through, so the exposure accumulates even though the
   /// end-of-run snapshot usually looks clean.
   double corruption_node_seconds = 0.0;
-  std::size_t corrupted_nodes() const;  ///< at end of run
   std::uint64_t total_torn() const;
 };
 

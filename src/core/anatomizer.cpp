@@ -26,21 +26,6 @@ Anatomizer::Anatomizer(const trace::NodeTrace& trace) : trace_(trace) {
             });
 }
 
-EventInterval Anatomizer::identify_instance(std::size_t int_index) const {
-  const auto& seq = trace_.lifecycle;
-  SENT_REQUIRE(int_index < seq.size());
-  SENT_REQUIRE(seq[int_index].kind == LifecycleKind::Int);
-  auto it = std::lower_bound(
-      intervals_.begin(), intervals_.end(), int_index,
-      [](const EventInterval& i, std::size_t idx) {
-        return i.start_index < idx;
-      });
-  SENT_ASSERT(it != intervals_.end() && it->start_index == int_index);
-  EventInterval interval = *it;
-  interval.seq_in_type = 0;  // per-call identification carries no ordering
-  return interval;
-}
-
 std::vector<EventInterval> Anatomizer::intervals_for(
     trace::IrqLine line) const {
   std::vector<EventInterval> out;

@@ -73,10 +73,6 @@ class Anatomizer {
   /// Interrupt lines present in the trace, ascending.
   std::vector<trace::IrqLine> event_types() const;
 
-  /// Figure 4 for a single instance: identify the instance opening at
-  /// lifecycle index `int_index`.
-  EventInterval identify_instance(std::size_t int_index) const;
-
  private:
   const trace::NodeTrace& trace_;
   /// Every interval of the trace, sorted by start_index (one per Int item).

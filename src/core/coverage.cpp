@@ -8,11 +8,6 @@
 
 namespace sent::core {
 
-bool InterleavingCoverage::covered(trace::IrqLine outer,
-                                   trace::IrqLine inner) const {
-  return pairs.count({outer, inner}) > 0;
-}
-
 std::uint64_t InterleavingCoverage::count(trace::IrqLine outer,
                                           trace::IrqLine inner) const {
   auto it = pairs.find({outer, inner});

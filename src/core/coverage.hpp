@@ -35,7 +35,6 @@ struct InterleavingCoverage {
   /// Event types present in the trace.
   std::vector<trace::IrqLine> event_types;
 
-  bool covered(trace::IrqLine outer, trace::IrqLine inner) const;
   std::uint64_t count(trace::IrqLine outer, trace::IrqLine inner) const;
 
   /// Observed pairs / all possible ordered pairs over the trace's event

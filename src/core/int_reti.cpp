@@ -43,58 +43,6 @@ std::optional<IntRetiString> match_int_reti(
   return std::nullopt;  // truncated: handler still open at end of trace
 }
 
-std::vector<std::size_t> top_level_posts(
-    std::span<const LifecycleItem> seq, const IntRetiString& s) {
-  SENT_REQUIRE(s.start < s.end && s.end < seq.size());
-  std::vector<std::size_t> posts;
-  std::size_t depth = 0;
-  for (std::size_t i = s.start; i <= s.end; ++i) {
-    switch (seq[i].kind) {
-      case LifecycleKind::Int:
-        ++depth;
-        break;
-      case LifecycleKind::Reti:
-        SENT_ASSERT(depth > 0);
-        --depth;
-        break;
-      case LifecycleKind::PostTask:
-        if (depth == 1) posts.push_back(i);  // directly inside the outer
-        break;
-      case LifecycleKind::RunTask:
-        malformed("runTask inside an int-reti string", i);
-    }
-  }
-  SENT_ASSERT(depth == 0);
-  return posts;
-}
-
-std::vector<std::size_t> posts_of_task_run(
-    std::span<const LifecycleItem> seq, std::size_t from) {
-  SENT_REQUIRE(from < seq.size());
-  SENT_REQUIRE_MSG(seq[from].kind == LifecycleKind::RunTask,
-                   "posts_of_task_run must start at a runTask item");
-  std::vector<std::size_t> posts;
-  std::size_t depth = 0;
-  for (std::size_t i = from + 1; i < seq.size(); ++i) {
-    switch (seq[i].kind) {
-      case LifecycleKind::Int:
-        ++depth;
-        break;
-      case LifecycleKind::Reti:
-        if (depth == 0) malformed("reti with no open handler", i);
-        --depth;
-        break;
-      case LifecycleKind::PostTask:
-        if (depth == 0) posts.push_back(i);
-        break;
-      case LifecycleKind::RunTask:
-        if (depth == 0) return posts;  // next task starts: region over
-        malformed("runTask inside an int-reti string", i);
-    }
-  }
-  return posts;  // trace ended inside the region
-}
-
 std::size_t validate_lifecycle(std::span<const LifecycleItem> seq) {
   std::size_t depth = 0;
   for (std::size_t i = 0; i < seq.size(); ++i) {

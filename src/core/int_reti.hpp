@@ -18,7 +18,6 @@
 #include <cstddef>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "trace/lifecycle.hpp"
 #include "util/assert.hpp"
@@ -43,19 +42,6 @@ struct IntRetiString {
 /// (truncated recording). Throws MalformedTrace on grammar violations.
 std::optional<IntRetiString> match_int_reti(
     std::span<const trace::LifecycleItem> seq, std::size_t start);
-
-/// Criterion 2: the postTask items of an int-reti string that are NOT
-/// inside nested int-reti substrings — i.e. the tasks posted by the
-/// string's own interrupt handler. Returns their indices in order.
-std::vector<std::size_t> top_level_posts(
-    std::span<const trace::LifecycleItem> seq, const IntRetiString& s);
-
-/// Criterion 3 support: postTask indices strictly between `from`
-/// (exclusive) and the next RunTask item (or the end of the sequence),
-/// excluding those inside int-reti substrings — i.e. the tasks posted by
-/// the task started at `from` (which must be a RunTask item).
-std::vector<std::size_t> posts_of_task_run(
-    std::span<const trace::LifecycleItem> seq, std::size_t from);
 
 /// Whole-sequence validation: every reti closes an int, every int is
 /// eventually closed (unless the trace is truncated), no runTask occurs

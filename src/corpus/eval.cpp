@@ -284,13 +284,11 @@ SweepResult run_sweep(const std::vector<VariantSpec>& specs,
       cell.detector = detector_names()[d];
       cell.precision.assign(options.ks.size(), 0.0);
       cell.recall.assign(options.ks.size(), 0.0);
-      std::size_t trig = 0;
+      std::vector<std::size_t> first_ranks;
       for (const SeedOutcome& out : outcomes) {
         if (!out.triggered) continue;
-        ++trig;
         const DetectorSeedOutcome& g = out.detectors[d];
-        if (g.first_rank > 0 && g.first_rank <= options.k)
-          cell.detection_rate += 1.0;
+        first_ranks.push_back(g.first_rank);
         cell.mean_first_rank += static_cast<double>(g.first_rank);
         cell.mean_rank += g.seed_mean_rank;
         for (std::size_t i = 0; i < options.ks.size(); ++i) {
@@ -298,9 +296,9 @@ SweepResult run_sweep(const std::vector<VariantSpec>& specs,
           cell.recall[i] += g.recall[i];
         }
       }
-      if (trig > 0) {
-        const double n = static_cast<double>(trig);
-        cell.detection_rate /= n;
+      cell.detection_rate = detection_rate(first_ranks, options.k);
+      if (!first_ranks.empty()) {
+        const double n = static_cast<double>(first_ranks.size());
         cell.mean_first_rank /= n;
         cell.mean_rank /= n;
         for (std::size_t i = 0; i < options.ks.size(); ++i) {

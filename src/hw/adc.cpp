@@ -9,20 +9,11 @@ AdcDevice::AdcDevice(sim::EventQueue& queue, mcu::Machine& machine,
     : queue_(queue),
       machine_(machine),
       rng_(rng),
-      sensor_(make_constant_sensor(0)),
-      mean_latency_(sim::cycles_from_micros(200)),
-      jitter_(sim::cycles_from_micros(40)) {}
+      sensor_(make_constant_sensor(0)) {}
 
 void AdcDevice::set_sensor(SensorFn sensor) {
   SENT_REQUIRE(sensor != nullptr);
   sensor_ = std::move(sensor);
-}
-
-void AdcDevice::set_conversion_time(sim::Cycle mean, sim::Cycle jitter) {
-  SENT_REQUIRE(mean > 0);
-  SENT_REQUIRE(jitter <= mean);
-  mean_latency_ = mean;
-  jitter_ = jitter;
 }
 
 bool AdcDevice::request_read() {
@@ -31,11 +22,9 @@ bool AdcDevice::request_read() {
     return false;
   }
   busy_ = true;
-  sim::Cycle latency = mean_latency_;
-  if (jitter_ > 0) {
-    latency = mean_latency_ - jitter_ +
-              static_cast<sim::Cycle>(rng_.below(2 * jitter_ + 1));
-  }
+  const sim::Cycle latency =
+      kMeanLatency - kJitter +
+      static_cast<sim::Cycle>(rng_.below(2 * kJitter + 1));
   // Conversion-complete is never cancelled, so it can ride the queue's
   // deferred-inline path when it turns out to be the next event.
   queue_.schedule_or_inline(queue_.now() + latency, [this] {

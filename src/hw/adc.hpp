@@ -19,10 +19,12 @@ class AdcDevice {
  public:
   AdcDevice(sim::EventQueue& queue, mcu::Machine& machine, util::Rng rng);
 
-  void set_sensor(SensorFn sensor);
+  /// Conversion latency: uniform in [kMeanLatency - kJitter,
+  /// kMeanLatency + kJitter].
+  static constexpr sim::Cycle kMeanLatency = sim::cycles_from_micros(200);
+  static constexpr sim::Cycle kJitter = sim::cycles_from_micros(40);
 
-  /// Mean conversion latency (default ~200 us) and uniform jitter bound.
-  void set_conversion_time(sim::Cycle mean, sim::Cycle jitter);
+  void set_sensor(SensorFn sensor);
 
   /// Start a conversion. Ignored (returns false) if one is in flight —
   /// real ADCs drop overlapping requests.
@@ -42,8 +44,6 @@ class AdcDevice {
   mcu::Machine& machine_;
   util::Rng rng_;
   SensorFn sensor_;
-  sim::Cycle mean_latency_;
-  sim::Cycle jitter_;
   bool busy_ = false;
   std::uint16_t value_ = 0;
   std::uint64_t conversions_ = 0;

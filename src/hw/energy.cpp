@@ -6,8 +6,7 @@ namespace sent::hw {
 
 EnergyBreakdown estimate_energy(const trace::NodeTrace& trace,
                                 sim::Cycle tx_airtime,
-                                const EnergyParams& params,
-                                const mcu::MachineCosts& costs) {
+                                const EnergyParams& params) {
   SENT_REQUIRE(trace.run_end > 0);
   SENT_REQUIRE(tx_airtime <= trace.run_end);
 
@@ -21,13 +20,13 @@ EnergyBreakdown estimate_energy(const trace::NodeTrace& trace,
   for (const auto& item : trace.lifecycle) {
     switch (item.kind) {
       case trace::LifecycleKind::Int:
-        active += costs.int_entry + costs.wakeup;
+        active += mcu::cost::kIntEntry + mcu::cost::kWakeup;
         break;
       case trace::LifecycleKind::Reti:
-        active += costs.reti;
+        active += mcu::cost::kReti;
         break;
       case trace::LifecycleKind::RunTask:
-        active += costs.run_task + costs.task_ret;
+        active += mcu::cost::kRunTask + mcu::cost::kTaskRet;
         break;
       case trace::LifecycleKind::PostTask:
         break;  // accounted inside the posting instruction's cost
@@ -54,9 +53,8 @@ EnergyBreakdown estimate_energy(const trace::NodeTrace& trace,
 EnergyBreakdown estimate_energy_lpl(const trace::NodeTrace& trace,
                                     sim::Cycle tx_airtime,
                                     const LplParams& lpl,
-                                    const EnergyParams& params,
-                                    const mcu::MachineCosts& costs) {
-  EnergyBreakdown out = estimate_energy(trace, tx_airtime, params, costs);
+                                    const EnergyParams& params) {
+  EnergyBreakdown out = estimate_energy(trace, tx_airtime, params);
   if (!lpl.enabled) return out;
   // The idle-listening share shrinks to the LPL duty cycle.
   double rx_s = sim::seconds_from_cycles(trace.run_end - tx_airtime);

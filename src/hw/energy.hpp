@@ -39,12 +39,11 @@ struct EnergyBreakdown {
 };
 
 /// Estimate a node's energy over its recorded run. `tx_airtime` is the
-/// radio's total transmit time (RadioChip::tx_airtime()); `costs` must
-/// match the machine's configured dispatch costs.
+/// radio's total transmit time (RadioChip::tx_airtime()); dispatch
+/// overheads are the machine's fixed costs (mcu::cost).
 EnergyBreakdown estimate_energy(const trace::NodeTrace& trace,
                                 sim::Cycle tx_airtime,
-                                const EnergyParams& params = {},
-                                const mcu::MachineCosts& costs = {});
+                                const EnergyParams& params = {});
 
 /// Same, for a node running low-power listening: the receiver only
 /// listens for the LPL duty cycle of its idle time (afterglow and
@@ -52,7 +51,6 @@ EnergyBreakdown estimate_energy(const trace::NodeTrace& trace,
 EnergyBreakdown estimate_energy_lpl(const trace::NodeTrace& trace,
                                     sim::Cycle tx_airtime,
                                     const LplParams& lpl,
-                                    const EnergyParams& params = {},
-                                    const mcu::MachineCosts& costs = {});
+                                    const EnergyParams& params = {});
 
 }  // namespace sent::hw

@@ -4,16 +4,6 @@
 
 namespace sent::hw {
 
-const char* to_string(TxStatus status) {
-  switch (status) {
-    case TxStatus::Success: return "Success";
-    case TxStatus::NoCts: return "NoCts";
-    case TxStatus::NoAck: return "NoAck";
-    case TxStatus::ChannelStuck: return "ChannelStuck";
-  }
-  return "?";
-}
-
 RadioChip::RadioChip(sim::EventQueue& queue, mcu::Machine& machine,
                      net::Channel& channel, net::NodeId node_id,
                      util::Rng rng, RadioParams params)

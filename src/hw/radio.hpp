@@ -40,8 +40,6 @@ enum class TxStatus : std::uint8_t {
   ChannelStuck,  ///< carrier never cleared (CCA attempts exhausted)
 };
 
-const char* to_string(TxStatus status);
-
 class RadioChip final : public net::RadioListener {
  public:
   RadioChip(sim::EventQueue& queue, mcu::Machine& machine,

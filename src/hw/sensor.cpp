@@ -26,11 +26,4 @@ SensorFn make_constant_sensor(std::uint16_t value) {
   return [value](sim::Cycle) { return value; };
 }
 
-SensorFn make_counter_sensor() {
-  auto counter = std::make_shared<std::uint16_t>(0);
-  return [counter](sim::Cycle) -> std::uint16_t {
-    return (*counter)++ % 1024;
-  };
-}
-
 }  // namespace sent::hw

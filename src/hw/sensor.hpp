@@ -26,10 +26,7 @@ SensorFn make_temperature_sensor(util::Rng rng, double base = 500.0,
                                  double noise = 4.0, double spike = 120.0,
                                  double spike_prob = 0.002);
 
-/// Constant reading (tests).
+/// Constant reading.
 SensorFn make_constant_sensor(std::uint16_t value);
-
-/// Monotonic ramp wrapping at 1024 (tests: makes readings identifiable).
-SensorFn make_counter_sensor();
 
 }  // namespace sent::hw

@@ -74,24 +74,11 @@ void Machine::raise_irq(trace::IrqLine line) {
   pending_ |= (1ULL << line);
   // If this raise happens from inside an executing instruction, the current
   // step schedules its own continuation and will see the pending bit there.
-  if (!step_scheduled_ && !in_step_) schedule_step(costs_.wakeup);
+  if (!step_scheduled_ && !in_step_) schedule_step(cost::kWakeup);
 }
 
 void Machine::notify_task_posted() {
-  if (!step_scheduled_ && !in_step_) schedule_step(costs_.wakeup);
-}
-
-void Machine::disable_interrupts() { ++atomic_depth_; }
-
-void Machine::enable_interrupts() {
-  SENT_REQUIRE_MSG(atomic_depth_ > 0,
-                   "enable_interrupts without matching disable");
-  --atomic_depth_;
-  // Pending lines latched during the atomic section get delivered at the
-  // next step boundary; make sure one is scheduled if we are between
-  // steps (enable from outside an instruction is unusual but legal).
-  if (atomic_depth_ == 0 && pending_ != 0 && !step_scheduled_ && !in_step_)
-    schedule_step(costs_.wakeup);
+  if (!step_scheduled_ && !in_step_) schedule_step(cost::kWakeup);
 }
 
 std::vector<trace::IrqLine> Machine::bound_lines() const {
@@ -101,10 +88,6 @@ std::vector<trace::IrqLine> Machine::bound_lines() const {
       lines.push_back(static_cast<trace::IrqLine>(line));
   }
   return lines;
-}
-
-bool Machine::sleeping() const {
-  return frames_.empty() && pending_ == 0 && !step_scheduled_;
 }
 
 void Machine::fire_lane(void* self) {
@@ -124,13 +107,10 @@ void Machine::schedule_step(std::uint32_t delay) {
 }
 
 int Machine::deliverable_irq() const {
-  if (pending_ == 0 || atomic_depth_ > 0) return -1;
+  if (pending_ == 0) return -1;
   bool in_handler = !frames_.empty() && frames_.back().is_handler;
   int ceiling = 64;  // lines strictly below this may be delivered
-  if (in_handler) {
-    if (nesting_ == NestingPolicy::None) return -1;
-    ceiling = frames_.back().line;  // only strictly higher priority nests
-  }
+  if (in_handler) ceiling = frames_.back().line;
   for (int line = 0; line < ceiling; ++line) {
     if (pending_ & (1ULL << line)) return line;
   }
@@ -142,9 +122,9 @@ int Machine::deliverable_irq() const {
 /// branches were rewritten to kRetIf* at build time, so no taken branch
 /// needs a range check here.
 ///
-/// Typed ops (everything past the four host-class ops) touch only plain
-/// application state: they cannot schedule or cancel events, raise IRQs,
-/// post tasks, or enter atomic sections. So once the event queue grants an
+/// Typed ops (everything past the three host-class ops) touch only plain
+/// application state: they cannot schedule or cancel events, raise IRQs or
+/// post tasks. So once the event queue grants an
 /// InlineAllowance, a run of typed ops executes in this one fused loop —
 /// each step still recorded at its exact cycle and still charged against
 /// the watchdog budget, but with no queue traffic and no trip through the
@@ -189,22 +169,6 @@ std::uint32_t Machine::exec_bytecode(Frame& frame, const CodeObject& code) {
       if (fused != 0) queue_.commit_inline(now, fused);
       recorder_.on_instr(now, w[2]);
       switch (op) {
-        case Op::kCallHost: {
-          const StepAction action = code.hosts[a]();
-          switch (action.kind) {
-            case StepAction::Kind::Next:
-              break;
-            case StepAction::Kind::Jump:
-              next = action.target * kInstrWords;
-              SENT_ASSERT_MSG(next < end,
-                              "jump target out of range in " << code.name);
-              break;
-            case StepAction::Kind::Return:
-              next = end;
-              break;
-          }
-          break;
-        }
         case Op::kHostAction:
           code.actions[a]();
           break;
@@ -242,9 +206,6 @@ std::uint32_t Machine::exec_bytecode(Frame& frame, const CodeObject& code) {
         break;
       case Op::kSetU32:
         *code.u32s[a] = b;
-        break;
-      case Op::kAddU64:
-        *code.u64s[a] += b;
         break;
       case Op::kAddU16: {
         std::uint16_t* p = code.u16s[a];
@@ -347,7 +308,7 @@ bool Machine::step_once(std::uint32_t& delay) {
     frames_.push_back(Frame{handlers_[static_cast<std::size_t>(line)], 0,
                             /*is_handler=*/true,
                             static_cast<trace::IrqLine>(line), 0});
-    delay = costs_.int_entry;
+    delay = cost::kIntEntry;
     return true;
   }
 
@@ -360,11 +321,11 @@ bool Machine::step_once(std::uint32_t& delay) {
       if (frame.is_handler) {
         recorder_.on_reti(queue_.now(), frame.line);
         frames_.pop_back();
-        delay = costs_.reti;
+        delay = cost::kReti;
       } else {
         recorder_.on_task_end(frame.run_item_index, queue_.now());
         frames_.pop_back();
-        delay = costs_.task_ret;
+        delay = cost::kTaskRet;
       }
       return true;
     }
@@ -381,7 +342,7 @@ bool Machine::step_once(std::uint32_t& delay) {
     std::size_t run_idx = recorder_.on_run_task(queue_.now(), task);
     frames_.push_back(
         Frame{code_id, 0, /*is_handler=*/false, 0, run_idx});
-    delay = costs_.run_task;
+    delay = cost::kRunTask;
     return true;
   }
 

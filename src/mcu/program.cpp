@@ -38,8 +38,7 @@ Word pool_add(Vec& vec, T&& value) {
 // ---- Program --------------------------------------------------------------
 
 CodeId Program::add(CodeObject code, std::vector<std::string> instr_names) {
-  SENT_REQUIRE_MSG(by_name_.find(std::string_view(code.name)) ==
-                       by_name_.end(),
+  SENT_REQUIRE_MSG(!names_.contains(code.name),
                    "duplicate code object name: " << code.name);
   SENT_REQUIRE_MSG(!code.words.empty(),
                    "code object " << code.name << " has no instructions");
@@ -53,15 +52,9 @@ CodeId Program::add(CodeObject code, std::vector<std::string> instr_names) {
     w[2] = gid;
     instr_table_.push_back({code.name, std::move(instr_names[i]), w[1]});
   }
-  by_name_.emplace(code.name, id);
+  names_.insert(code.name);
   codes_.push_back(std::move(code));
   return id;
-}
-
-CodeId Program::find(std::string_view name) const {
-  auto it = by_name_.find(name);
-  SENT_REQUIRE_MSG(it != by_name_.end(), "no code object named " << name);
-  return it->second;
 }
 
 // ---- CodeBuilder ----------------------------------------------------------
@@ -114,13 +107,6 @@ CodeBuilder& CodeBuilder::ret_if(std::string name, std::function<bool()> pred,
   return *this;
 }
 
-CodeBuilder& CodeBuilder::call_host(std::string name, InstrFn fn,
-                                    std::uint32_t cost) {
-  SENT_REQUIRE(fn != nullptr);
-  push(std::move(name), cost, Op::kCallHost).host = std::move(fn);
-  return *this;
-}
-
 CodeBuilder& CodeBuilder::set_flag(std::string name, bool& flag, bool value,
                                    std::uint32_t cost) {
   Draft& d = push(std::move(name), cost, Op::kSetFlag);
@@ -142,14 +128,6 @@ CodeBuilder& CodeBuilder::set_u32(std::string name, std::uint32_t& var,
   Draft& d = push(std::move(name), cost, Op::kSetU32);
   d.u32 = &var;
   d.imm = value;
-  return *this;
-}
-
-CodeBuilder& CodeBuilder::add_u64(std::string name, std::uint64_t& var,
-                                  std::uint32_t delta, std::uint32_t cost) {
-  Draft& d = push(std::move(name), cost, Op::kAddU64);
-  d.u64 = &var;
-  d.imm = delta;
   return *this;
 }
 
@@ -251,18 +229,6 @@ CodeBuilder& CodeBuilder::branch_if_u16(std::string name, std::uint16_t& var,
   return *this;
 }
 
-CodeBuilder& CodeBuilder::ret_if_u16(std::string name, std::uint16_t& var,
-                                     Cmp cmp, std::uint16_t imm,
-                                     std::uint32_t cost) {
-  SENT_REQUIRE_MSG(cmp == Cmp::Eq || cmp == Cmp::Ne,
-                   "u16 compares support Eq/Ne only");
-  Draft& d = push(std::move(name), cost,
-                  cmp == Cmp::Eq ? Op::kRetIfU16Eq : Op::kRetIfU16Ne);
-  d.u16 = &var;
-  d.imm = imm;
-  return *this;
-}
-
 CodeBuilder& CodeBuilder::branch_if_u32_ge(std::string name,
                                            std::uint32_t& lhs,
                                            std::uint32_t& rhs,
@@ -272,15 +238,6 @@ CodeBuilder& CodeBuilder::branch_if_u32_ge(std::string name,
   d.u32 = &lhs;
   d.u32b = &rhs;
   d.label = std::move(label);
-  return *this;
-}
-
-CodeBuilder& CodeBuilder::ret_if_u32_ge(std::string name, std::uint32_t& lhs,
-                                        std::uint32_t& rhs,
-                                        std::uint32_t cost) {
-  Draft& d = push(std::move(name), cost, Op::kRetIfU32GeMem);
-  d.u32 = &lhs;
-  d.u32b = &rhs;
   return *this;
 }
 
@@ -315,9 +272,6 @@ void CodeBuilder::emit_bytecode(CodeObject& code) {
       }
     }
     switch (op) {
-      case Op::kCallHost:
-        a = pool_add(code.hosts, std::move(d.host));
-        break;
       case Op::kHostAction:
         a = pool_add(code.actions, std::move(d.action));
         break;
@@ -345,10 +299,6 @@ void CodeBuilder::emit_bytecode(CodeObject& code) {
       case Op::kRetIfU32Lt:
       case Op::kRetIfU32Ge:
         a = pool_add(code.u32s, d.u32);
-        b = d.imm;
-        break;
-      case Op::kAddU64:
-        a = pool_add(code.u64s, d.u64);
         b = d.imm;
         break;
       case Op::kAddU16:

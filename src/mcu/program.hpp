@@ -14,16 +14,15 @@
 // in Machine::step. Common behaviours — flag tests, counter bumps, field
 // compares — are dedicated typed ops that read and write application state
 // through operand pools of raw pointers; arbitrary C++ closures survive
-// behind the host-call escape hatch (Op::kCallHost and friends), which is
-// what CodeBuilder's generic instr/branch_if/ret_if lower to.
+// behind the host-call ops (Op::kHostAction and friends), which is what
+// CodeBuilder's generic instr/branch_if/ret_if lower to.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <string>
-#include <string_view>
-#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "trace/recorder.hpp"
@@ -53,8 +52,7 @@ inline constexpr std::uint32_t kInstrWords = 6;
 /// code object are rewritten to their kRetIf* counterpart at build time, so
 /// the dispatch loop never range-checks targets.
 enum class Op : Word {
-  // Host-call escape hatch: behaviour lives in a C++ closure.
-  kCallHost,      ///< a=hosts: full StepAction protocol (jump/ret/next)
+  // Host-call ops: behaviour lives in a C++ closure.
   kHostAction,    ///< a=actions: void call, fall through
   kBranchIfHost,  ///< a=preds: branch to t when pred() is true
   kRetIfHost,     ///< a=preds: return when pred() is true
@@ -70,7 +68,6 @@ enum class Op : Word {
 
   kAddU32,       ///< *u32s[a] += b (wrapping; b=0xffffffff decrements)
   kSetU32,       ///< *u32s[a] = b
-  kAddU64,       ///< *u64s[a] += b
   kAddU16,       ///< *u16s[a] += b (truncating; b=0xffff decrements)
   kMovU16,       ///< *u16s[a] = *u16s[b] (register-to-register copy)
   kClearLsbU16,  ///< *u16s[a] &= *u16s[a] - 1 (Kernighan popcount step)
@@ -93,20 +90,6 @@ enum class Op : Word {
   kRetIfU32GeMem,     ///< return when *u32s[a] >= *u32s[b]
 };
 
-/// What the machine should do after a host-call instruction (Op::kCallHost).
-struct StepAction {
-  enum class Kind : std::uint8_t { Next, Jump, Return };
-  Kind kind = Kind::Next;
-  std::uint32_t target = 0;  ///< instruction index within the code object
-
-  static StepAction next() { return {}; }
-  static StepAction jump(std::uint32_t t) { return {Kind::Jump, t}; }
-  static StepAction ret() { return {Kind::Return, 0}; }
-};
-
-/// Behaviour of one host-call instruction: the closure decides the step.
-using InstrFn = std::function<StepAction()>;
-
 struct CodeObject {
   std::string name;      ///< e.g. "Read.readDone" or "prepareAndSendPacket"
   bool is_task = false;  ///< task (posted/run) vs interrupt handler
@@ -115,13 +98,11 @@ struct CodeObject {
   std::vector<Word> words;
 
   // Operand pools, indexed by the a/b words.
-  std::vector<InstrFn> hosts;
   std::vector<std::function<void()>> actions;
   std::vector<std::function<bool()>> preds;
   std::vector<bool*> flags;
   std::vector<std::uint32_t*> u32s;
   std::vector<std::uint16_t*> u16s;
-  std::vector<std::uint64_t*> u64s;
 
   std::size_t instr_count() const { return words.size() / kInstrWords; }
 };
@@ -150,27 +131,10 @@ class Program {
     return instr_table_;
   }
 
-  /// Find a code object by name; throws if absent. Heterogeneous: accepts
-  /// string literals and string_views without building a std::string.
-  CodeId find(std::string_view name) const;
-
  private:
-  struct NameHash {
-    using is_transparent = void;
-    std::size_t operator()(std::string_view s) const {
-      return std::hash<std::string_view>{}(s);
-    }
-  };
-  struct NameEq {
-    using is_transparent = void;
-    bool operator()(std::string_view a, std::string_view b) const {
-      return a == b;
-    }
-  };
-
   std::vector<CodeObject> codes_;
   std::vector<trace::InstrMeta> instr_table_;
-  std::unordered_map<std::string, CodeId, NameHash, NameEq> by_name_;
+  std::unordered_set<std::string> names_;  ///< code object names are unique
 };
 
 /// Comparison selector for the typed compare/branch builder ops.
@@ -210,11 +174,6 @@ class CodeBuilder {
   CodeBuilder& ret_if(std::string name, std::function<bool()> pred,
                       std::uint32_t cost = kDefaultInstrCost);
 
-  /// Full escape hatch: the closure decides the step action itself
-  /// (Op::kCallHost). Jump targets are instruction indices.
-  CodeBuilder& call_host(std::string name, InstrFn fn,
-                         std::uint32_t cost = kDefaultInstrCost);
-
   // -- typed ops ----------------------------------------------------------
   // All take references to application state that must outlive the built
   // program (in practice: members of the app object that owns the node).
@@ -226,9 +185,6 @@ class CodeBuilder {
                        std::uint32_t cost = kDefaultInstrCost);
   CodeBuilder& set_u32(std::string name, std::uint32_t& var,
                        std::uint32_t value,
-                       std::uint32_t cost = kDefaultInstrCost);
-  CodeBuilder& add_u64(std::string name, std::uint64_t& var,
-                       std::uint32_t delta,
                        std::uint32_t cost = kDefaultInstrCost);
   /// var += delta, truncating to 16 bits (delta=0xffff decrements).
   CodeBuilder& add_u16(std::string name, std::uint16_t& var,
@@ -259,18 +215,12 @@ class CodeBuilder {
   CodeBuilder& branch_if_u16(std::string name, std::uint16_t& var, Cmp cmp,
                              std::uint16_t imm, std::string label,
                              std::uint32_t cost = kDefaultInstrCost);
-  CodeBuilder& ret_if_u16(std::string name, std::uint16_t& var, Cmp cmp,
-                          std::uint16_t imm,
-                          std::uint32_t cost = kDefaultInstrCost);
 
   /// Branch when lhs >= rhs, both read from memory (loop bounds that are
   /// only known at run time, e.g. payload sizes).
   CodeBuilder& branch_if_u32_ge(std::string name, std::uint32_t& lhs,
                                 std::uint32_t& rhs, std::string label,
                                 std::uint32_t cost = kDefaultInstrCost);
-  CodeBuilder& ret_if_u32_ge(std::string name, std::uint32_t& lhs,
-                             std::uint32_t& rhs,
-                             std::uint32_t cost = kDefaultInstrCost);
 
   /// Bind `label` to the position of the next instruction. A label may be
   /// referenced before or after its definition.
@@ -289,7 +239,6 @@ class CodeBuilder {
     Op op = Op::kRet;
     std::string label;  ///< branch/jump target; empty if none
 
-    InstrFn host;                  // kCallHost
     std::function<void()> action;  // kHostAction
     std::function<bool()> pred;    // kBranchIfHost / kRetIfHost
 
@@ -298,7 +247,6 @@ class CodeBuilder {
     std::uint32_t* u32b = nullptr;  // second operand (mem-mem compare)
     std::uint16_t* u16 = nullptr;
     std::uint16_t* u16b = nullptr;  // second operand (u16 reg-reg move)
-    std::uint64_t* u64 = nullptr;
     Word imm = 0;
   };
 

@@ -103,9 +103,4 @@ std::vector<double> covariance_matrix(const Matrix& rows) {
   return cov;
 }
 
-std::vector<double> covariance_matrix(
-    const std::vector<std::vector<double>>& rows) {
-  return covariance_matrix(Matrix::from_rows(rows));
-}
-
 }  // namespace sent::ml

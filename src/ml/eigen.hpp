@@ -27,7 +27,5 @@ SymmetricEigen symmetric_eigen(const std::vector<double>& a, std::size_t n,
 /// Covariance matrix (row-major, d x d) of centred data; uses the biased
 /// (1/n) normalizer.
 std::vector<double> covariance_matrix(const Matrix& rows);
-std::vector<double> covariance_matrix(
-    const std::vector<std::vector<double>>& rows);
 
 }  // namespace sent::ml

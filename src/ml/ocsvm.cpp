@@ -422,14 +422,6 @@ double OneClassSvm::decision_scaled(std::span<const double> z) const {
   return sum - rho_;
 }
 
-double OneClassSvm::decision(std::span<const double> x) const {
-  SENT_REQUIRE_MSG(fitted(), "decision() before fit()");
-  SENT_REQUIRE(x.size() == dim_);
-  std::vector<double> z(dim_);
-  scaler_.transform_row(x, z);
-  return decision_scaled(z);
-}
-
 std::vector<double> OneClassSvm::decision_batch(const Matrix& rows) const {
   SENT_REQUIRE_MSG(fitted(), "decision_batch() before fit()");
   Metrics::get().decision_points.inc(rows.rows());

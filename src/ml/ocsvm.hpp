@@ -22,8 +22,8 @@
 // gradient arithmetic once per class, bit for bit as a per-row solver
 // would; convergence is only declared when the maximal KKT violation over
 // the FULL variable set drops below tol (DESIGN.md §10). After fit the
-// model is compacted to its support vectors, so decision() and
-// decision_batch() scale with the SV count. The kernel build and
+// model is compacted to its support vectors, so decision_batch() scales
+// with the SV count. The kernel build and
 // decision_batch() run in parallel only on a pool the caller passes in
 // (OcsvmParams::pool). Parity is checked against a naive oracle in
 // tests/ocsvm_reference_test.cpp; tests/golden/ocsvm_digests.txt pins
@@ -84,15 +84,10 @@ class OneClassSvm final : public core::OutlierDetector {
   }
   bool fitted() const { return fitted_; }
 
-  /// Signed distance f(x) for a new point (unscaled feature space).
-  double decision(std::span<const double> x) const;
-  double decision(const std::vector<double>& x) const {
-    return decision(std::span<const double>(x));
-  }
-
-  /// decision() for a batch of points. The batch is standardized once and
-  /// rows fan out across params.pool when one is set (rows are
-  /// independent), so values match calling decision() per row.
+  /// Signed distance f(x) of each row of a batch of new points (unscaled
+  /// feature space). The batch is standardized once and rows fan out
+  /// across params.pool when one is set (rows are independent, so the
+  /// values do not depend on the pool).
   std::vector<double> decision_batch(const Matrix& rows) const;
   std::vector<double> decision_batch(
       const std::vector<std::vector<double>>& rows) const {

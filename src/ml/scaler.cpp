@@ -47,21 +47,4 @@ Matrix StandardScaler::transform(const Matrix& rows) const {
   return out;
 }
 
-std::vector<double> StandardScaler::transform(
-    const std::vector<double>& row) const {
-  SENT_REQUIRE(fitted());
-  SENT_REQUIRE(row.size() == mean_.size());
-  std::vector<double> out(row.size());
-  transform_row(row, out);
-  return out;
-}
-
-std::vector<std::vector<double>> StandardScaler::transform(
-    const std::vector<std::vector<double>>& rows) const {
-  std::vector<std::vector<double>> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(transform(row));
-  return out;
-}
-
 }  // namespace sent::ml

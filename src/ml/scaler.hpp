@@ -5,8 +5,8 @@
 // here standardizes first. Zero-variance columns are left centred with
 // scale 1 so constant instructions contribute nothing.
 //
-// The primary API operates on the flat ml::Matrix; the row-vector
-// overloads are thin adapters for legacy callers.
+// The API operates on the flat ml::Matrix; the row-vector fit() overload
+// is a thin adapter.
 #pragma once
 
 #include <span>
@@ -27,9 +27,6 @@ class StandardScaler {
   void transform_row(std::span<const double> in, std::span<double> out) const;
 
   Matrix transform(const Matrix& rows) const;
-  std::vector<double> transform(const std::vector<double>& row) const;
-  std::vector<std::vector<double>> transform(
-      const std::vector<std::vector<double>>& rows) const;
 
   bool fitted() const { return !mean_.empty(); }
   const std::vector<double>& mean() const { return mean_; }

@@ -66,11 +66,6 @@ void Channel::set_gilbert_elliott(const GilbertElliott& model) {
   ge_burst_.clear();
 }
 
-bool Channel::link_in_burst(NodeId a, NodeId b) const {
-  auto it = ge_burst_.find({a, b});
-  return it != ge_burst_.end() && it->second;
-}
-
 bool Channel::delivery_lost(NodeId from, NodeId to) {
   if (!ge_model_) return rng_.chance(loss_rate_);
   bool& burst = ge_burst_[{from, to}];

@@ -55,9 +55,6 @@ class Channel {
   };
   void set_gilbert_elliott(const GilbertElliott& model);
 
-  /// True if the (a, b) link is currently in the burst state (testing).
-  bool link_in_burst(NodeId a, NodeId b) const;
-
   /// Switch to explicit connectivity and declare a bidirectional link.
   /// Before the first call every pair is connected.
   void add_link(NodeId a, NodeId b);

@@ -1,7 +1,5 @@
 #include "net/packet.hpp"
 
-#include <sstream>
-
 #include "util/assert.hpp"
 
 namespace sent::net {
@@ -11,32 +9,11 @@ namespace {
 // short fixed frames for MAC control.
 constexpr std::size_t kDataOverheadBytes = 12;
 constexpr std::size_t kControlFrameBytes = 6;
-
-const char* type_name(FrameType t) {
-  switch (t) {
-    case FrameType::Data: return "Data";
-    case FrameType::Rts: return "Rts";
-    case FrameType::Cts: return "Cts";
-    case FrameType::Ack: return "Ack";
-  }
-  return "?";
-}
 }  // namespace
 
 std::size_t Packet::size_bytes() const {
   if (type == FrameType::Data) return kDataOverheadBytes + payload.size();
   return kControlFrameBytes;
-}
-
-std::string Packet::to_string() const {
-  std::ostringstream os;
-  os << type_name(type) << "[" << int(am_type) << "] " << src << "->";
-  if (dst == kBroadcast)
-    os << "*";
-  else
-    os << dst;
-  os << " seq=" << seq << " (" << payload.size() << "B)";
-  return os.str();
 }
 
 void put_u16(std::vector<std::uint8_t>& buf, std::uint16_t v) {

@@ -10,12 +10,6 @@ void make_chain(Channel& channel, const std::vector<NodeId>& nodes) {
     channel.add_link(nodes[i], nodes[i + 1]);
 }
 
-void make_star(Channel& channel, NodeId hub,
-               const std::vector<NodeId>& leaves) {
-  SENT_REQUIRE(!leaves.empty());
-  for (NodeId leaf : leaves) channel.add_link(hub, leaf);
-}
-
 std::vector<NodeId> make_grid(Channel& channel, std::size_t rows,
                               std::size_t cols, NodeId first_id) {
   SENT_REQUIRE(rows >= 1 && cols >= 1 && rows * cols >= 2);

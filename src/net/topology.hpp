@@ -11,10 +11,6 @@ namespace sent::net {
 /// Connect 0-1-2-...-(n-1) as a chain (case study II uses a 3-node chain).
 void make_chain(Channel& channel, const std::vector<NodeId>& nodes);
 
-/// Connect every node to a hub.
-void make_star(Channel& channel, NodeId hub,
-               const std::vector<NodeId>& leaves);
-
 /// rows x cols grid with 4-neighbour connectivity; node ids are assigned
 /// row-major starting at `first_id`. Returns the ids. Case study III uses
 /// a 3x3 grid of 9 nodes.

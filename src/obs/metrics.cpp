@@ -97,14 +97,6 @@ double HistogramData::percentile(double p) const {
   return static_cast<double>(max);
 }
 
-void HistogramData::record(std::uint64_t v) {
-  ++count;
-  sum += v;
-  min = count == 1 ? v : std::min(min, v);
-  max = std::max(max, v);
-  ++buckets[bucket_index(v)];
-}
-
 void HistogramData::merge(const HistogramData& other) {
   if (other.count == 0) return;
   min = count == 0 ? other.min : std::min(min, other.min);
@@ -168,15 +160,6 @@ const T* find_sorted(
 std::uint64_t Snapshot::counter_value(std::string_view name) const {
   const std::uint64_t* v = find_sorted(counters, name);
   return v ? *v : 0;
-}
-
-std::uint64_t Snapshot::gauge_value(std::string_view name) const {
-  const std::uint64_t* v = find_sorted(gauges, name);
-  return v ? *v : 0;
-}
-
-const HistogramData* Snapshot::histogram_data(std::string_view name) const {
-  return find_sorted(histograms, name);
 }
 
 const HistogramData* Snapshot::timer_data(std::string_view name) const {

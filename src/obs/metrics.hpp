@@ -54,7 +54,6 @@ struct HistogramData {
   /// factor of 2 of the true value otherwise (see obs_test).
   double percentile(double p) const;
 
-  void record(std::uint64_t v);  ///< single-threaded helper (tests, merge)
   void merge(const HistogramData& other);
 
   bool operator==(const HistogramData&) const = default;
@@ -75,13 +74,11 @@ struct Snapshot {
   /// Equality over the deterministic sections only (timers ignored).
   bool deterministic_equal(const Snapshot& other) const;
 
-  /// Value of a named counter / gauge, 0 when absent. Sections are sorted
-  /// by name so lookup is a binary search; tests and smoke checks assert
-  /// on these instead of re-parsing to_json().
+  /// Value of a named counter, 0 when absent. Sections are sorted by name
+  /// so lookup is a binary search; tests and smoke checks assert on it
+  /// instead of re-parsing to_json().
   std::uint64_t counter_value(std::string_view name) const;
-  std::uint64_t gauge_value(std::string_view name) const;
-  /// Merged histogram / timer by name, nullptr when absent.
-  const HistogramData* histogram_data(std::string_view name) const;
+  /// Merged timer by name, nullptr when absent.
   const HistogramData* timer_data(std::string_view name) const;
 };
 

@@ -41,16 +41,6 @@ void TraceLog::append(const TraceEvent& event) {
   events_.push_back(event);
 }
 
-void TraceLog::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  events_.clear();
-}
-
-std::size_t TraceLog::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return events_.size();
-}
-
 std::string TraceLog::to_chrome_json() const {
   std::vector<TraceEvent> events;
   {

@@ -42,9 +42,6 @@ class TraceLog {
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
   void append(const TraceEvent& event);
-  void clear();
-
-  std::size_t size() const;
 
   /// Render all events (sorted by start time, then thread) as Chrome
   /// trace_event JSON: {"traceEvents": [...]}.

@@ -1,7 +1,5 @@
 #include "os/kernel.hpp"
 
-#include <algorithm>
-
 #include "obs/metrics.hpp"
 #include "util/assert.hpp"
 
@@ -15,8 +13,6 @@ namespace {
 struct Metrics {
   obs::Counter posted = obs::Registry::global().counter("os.tasks_posted");
   obs::Counter run = obs::Registry::global().counter("os.tasks_run");
-  obs::Counter overflows =
-      obs::Registry::global().counter("os.queue_overflows");
   obs::Gauge queue_hwm = obs::Registry::global().gauge("os.task_queue_hwm");
   obs::Histogram post_to_run =
       obs::Registry::global().histogram("os.post_to_run_cycles");
@@ -46,18 +42,8 @@ trace::TaskId Kernel::register_task(mcu::CodeId code) {
   return static_cast<trace::TaskId>(task_codes_.size() - 1);
 }
 
-void Kernel::set_queue_capacity(std::size_t capacity) {
-  SENT_REQUIRE(capacity >= 1);
-  capacity_ = capacity;
-}
-
-bool Kernel::try_post(trace::TaskId task) {
+void Kernel::post(trace::TaskId task) {
   SENT_REQUIRE(task < task_codes_.size());
-  if (capacity_ != 0 && queue_.size() >= capacity_) {
-    ++overflows_;
-    Metrics::get().overflows.inc();
-    return false;
-  }
   // Posts happen from inside an executing instruction, so "now" is that
   // instruction's start cycle.
   recorder_.on_post_task(queue_time_.now(), task);
@@ -65,19 +51,6 @@ bool Kernel::try_post(trace::TaskId task) {
   Metrics::get().posted.inc();
   Metrics::get().queue_hwm.record(queue_.size());
   machine_.notify_task_posted();
-  return true;
-}
-
-void Kernel::post(trace::TaskId task) { (void)try_post(task); }
-
-bool Kernel::post_unique(trace::TaskId task) {
-  SENT_REQUIRE(task < task_codes_.size());
-  if (std::find_if(queue_.begin(), queue_.end(), [task](const Pending& p) {
-        return p.task == task;
-      }) != queue_.end())
-    return false;
-  post(task);
-  return true;
 }
 
 std::pair<trace::TaskId, mcu::CodeId> Kernel::pop_task() {

@@ -5,8 +5,6 @@
 // post() here always enqueues. The paper's Criterion 1 — "the task posted
 // via the ith postTask is executed via the ith runTask" — assumes exactly
 // this model, and it is what the anatomizer's pairing step relies on.
-// post_unique() provides the TinyOS once-only behaviour for code that wants
-// it; a failed post_unique emits no lifecycle item, preserving Criterion 1.
 #pragma once
 
 #include <deque>
@@ -31,21 +29,7 @@ class Kernel final : public mcu::TaskProvider {
   /// Post a task FIFO. Always succeeds; emits a postTask lifecycle item.
   void post(trace::TaskId task);
 
-  /// TinyOS-style post: fails (returns false, emits nothing) if the task
-  /// is already pending in the queue.
-  bool post_unique(trace::TaskId task);
-
-  /// Bound the queue like TinyOS's fixed task slots (default: unbounded).
-  /// A post against a full queue fails silently (no lifecycle item) and
-  /// counts as an overflow — a real failure mode of task-heavy firmware.
-  void set_queue_capacity(std::size_t capacity);
-
-  /// Like post(), but reports whether the task was accepted (only a
-  /// bounded queue can refuse).
-  bool try_post(trace::TaskId task);
-
   std::size_t queue_depth() const { return queue_.size(); }
-  std::uint64_t overflows() const { return overflows_; }
 
   // TaskProvider:
   bool has_task() override { return !queue_.empty(); }
@@ -65,8 +49,6 @@ class Kernel final : public mcu::TaskProvider {
 
   std::vector<mcu::CodeId> task_codes_;  // TaskId -> CodeId
   std::deque<Pending> queue_;
-  std::size_t capacity_ = 0;  // 0 = unbounded
-  std::uint64_t overflows_ = 0;
 };
 
 }  // namespace sent::os

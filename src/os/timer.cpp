@@ -84,10 +84,6 @@ void TimerService::fire_early(trace::IrqLine line) {
   fire(line);
 }
 
-const std::string& TimerService::name(trace::IrqLine line) const {
-  return slot(line).name;
-}
-
 void TimerService::fire(trace::IrqLine line) {
   Slot& s = slot(line);
   SENT_ASSERT(s.active);

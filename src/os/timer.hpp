@@ -44,7 +44,6 @@ class TimerService {
   double drift_ppm() const { return drift_ppm_; }
 
   bool running(trace::IrqLine line) const;
-  const std::string& name(trace::IrqLine line) const;
 
   /// Whether `line` was allocated by this service's create().
   bool owns(trace::IrqLine line) const;

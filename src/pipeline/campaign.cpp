@@ -383,17 +383,6 @@ CampaignStats run_campaign(const ScenarioRunner& runner,
                       options);
 }
 
-CampaignStats run_campaign(const ScenarioRunner& runner,
-                           std::uint64_t first_seed, std::size_t runs,
-                           std::size_t k) {
-  CampaignOptions options;
-  options.first_seed = first_seed;
-  options.runs = runs;
-  options.k = k;
-  options.threads = 1;
-  return run_campaign(runner, options);
-}
-
 std::string summarize(const CampaignStats& stats) {
   std::ostringstream os;
   os << stats.runs << " runs: bug triggered in " << stats.triggered << " ("

@@ -145,11 +145,6 @@ CampaignStats run_campaign(const ScenarioRunner& runner,
 CampaignStats run_campaign(const ScenarioRunnerFactory& factory,
                            const CampaignOptions& options);
 
-/// Serial convenience overload (threads = 1).
-CampaignStats run_campaign(const ScenarioRunner& runner,
-                           std::uint64_t first_seed, std::size_t runs,
-                           std::size_t k);
-
 /// Render a one-line summary.
 std::string summarize(const CampaignStats& stats);
 

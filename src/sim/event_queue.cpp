@@ -433,14 +433,6 @@ void EventQueue::run_all() {
   }
 }
 
-void EventQueue::advance_to(Cycle to) {
-  SENT_REQUIRE(to >= now_);
-  Cycle at = 0;
-  const bool pending = peek_next(at);
-  SENT_REQUIRE_MSG(!pending || at >= to, "advance_to would skip a pending event");
-  now_ = to;
-}
-
 void EventQueue::set_watchdog_budget(std::uint64_t budget) {
   watchdog_budget_ = budget;
   watchdog_armed_at_ = executed_;

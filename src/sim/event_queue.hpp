@@ -221,16 +221,11 @@ class EventQueue {
 
   /// Run events until the queue is empty or virtual time would exceed
   /// `until`. Events scheduled exactly at `until` do run. Time is left at
-  /// min(until, last event time) — callers that need now()==until can
-  /// advance with advance_to().
+  /// min(until, last event time).
   void run_until(Cycle until);
 
   /// Run until the queue is empty.
   void run_all();
-
-  /// Move the clock forward without running anything (no events may be
-  /// pending before `to`).
-  void advance_to(Cycle to);
 
   /// Total events executed (for perf benches).
   std::uint64_t executed() const { return executed_; }

@@ -83,15 +83,6 @@ const char* to_string(ScoreMode mode) {
   return "?";
 }
 
-const char* to_string(StreamState state) {
-  switch (state) {
-    case StreamState::Live: return "live";
-    case StreamState::Finished: return "finished";
-    case StreamState::Evicted: return "evicted";
-  }
-  return "?";
-}
-
 struct FleetIngest::Session {
   std::uint32_t device = 0;
   std::uint32_t node_id = 0;  ///< from Hello; the device id until then

@@ -77,8 +77,6 @@ const char* to_string(ScoreMode mode);
 
 enum class StreamState : std::uint8_t { Live, Finished, Evicted };
 
-const char* to_string(StreamState state);
-
 struct QuarantineRecord {
   std::uint64_t tick = 0;  ///< service tick of the offence
   std::uint64_t seq = 0;   ///< frame seq when parseable, ~0 otherwise

@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "sim/time.hpp"
 
@@ -41,18 +39,5 @@ struct LifecycleItem {
   /// recorder when the task finishes; 0 while the task is still running.
   sim::Cycle end_cycle = 0;
 };
-
-/// Render an item like "int(5)@1234" / "postTask(2)@88" for debugging.
-std::string to_string(const LifecycleItem& item);
-
-/// Render a whole sequence, one item per line.
-std::string to_string(const std::vector<LifecycleItem>& seq);
-
-/// Parse a compact textual form ("int(5) post(1) run(1) reti", cycles
-/// auto-assigned 0,1,2,...). Used heavily by parser unit tests.
-std::vector<LifecycleItem> parse_compact(const std::string& text);
-
-/// Render a sequence back to the compact one-line form.
-std::string to_compact(const std::vector<LifecycleItem>& seq);
 
 }  // namespace sent::trace

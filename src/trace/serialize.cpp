@@ -392,10 +392,4 @@ NodeTrace load_trace_file(const std::string& path) {
   return load_trace(in);
 }
 
-LenientLoadResult load_trace_file_lenient(const std::string& path) {
-  std::ifstream in(path);
-  SENT_REQUIRE_MSG(in.good(), "cannot open " << path);
-  return load_trace_lenient(in);
-}
-
 }  // namespace sent::trace

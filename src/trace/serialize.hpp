@@ -66,6 +66,5 @@ struct LenientLoadResult {
 LenientLoadResult load_trace_lenient(std::string_view text,
                                      NodeTrace recycled = {});
 LenientLoadResult load_trace_lenient(std::istream& in);
-LenientLoadResult load_trace_file_lenient(const std::string& path);
 
 }  // namespace sent::trace

@@ -106,21 +106,4 @@ double Rng::normal(double mean, double stddev) {
   return mean + stddev * z;
 }
 
-std::size_t Rng::weighted(const std::vector<double>& weights) {
-  SENT_REQUIRE(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    SENT_REQUIRE_MSG(w >= 0.0, "negative weight");
-    total += w;
-  }
-  SENT_REQUIRE_MSG(total > 0.0, "all weights zero");
-  double x = uniform() * total;
-  double acc = 0.0;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (x < acc) return i;
-  }
-  return weights.size() - 1;  // floating-point edge: last positive bucket
-}
-
 }  // namespace sent::util

@@ -50,10 +50,6 @@ class Rng {
   /// Standard normal via Box-Muller (cached pair member unused; recomputes).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Sample an index from a discrete distribution given non-negative
-  /// weights. At least one weight must be positive.
-  std::size_t weighted(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <vector>
 
 #include "util/assert.hpp"
 
@@ -40,37 +40,6 @@ double percentile(std::span<const double> xs, double p) {
   return v[lo] + (v[hi] - v[lo]) * frac;
 }
 
-double min_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::min_element(xs.begin(), xs.end());
-}
-
-double max_of(std::span<const double> xs) {
-  if (xs.empty()) return 0.0;
-  return *std::max_element(xs.begin(), xs.end());
-}
-
-double pearson(std::span<const double> xs, std::span<const double> ys) {
-  SENT_REQUIRE(xs.size() == ys.size());
-  if (xs.size() < 2) return 0.0;
-  double mx = mean(xs), my = mean(ys);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    double dx = xs[i] - mx, dy = ys[i] - my;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
-
-double l2_norm(std::span<const double> xs) {
-  double s = 0.0;
-  for (double x : xs) s += x * x;
-  return std::sqrt(s);
-}
-
 double l2_distance(std::span<const double> a, std::span<const double> b) {
   SENT_REQUIRE(a.size() == b.size());
   double s = 0.0;
@@ -86,65 +55,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   double s = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
   return s;
-}
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  SENT_REQUIRE(hi > lo);
-  SENT_REQUIRE(bins > 0);
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) *
-                                      static_cast<double>(counts_.size()));
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  double step = (hi_ - lo_) / static_cast<double>(counts_.size());
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    double blo = lo_ + step * static_cast<double>(i);
-    os.setf(std::ios::fixed);
-    os.precision(3);
-    os << "[" << blo << ", " << blo + step << ") ";
-    std::size_t bar = counts_[i] * width / peak;
-    for (std::size_t j = 0; j < bar; ++j) os << '#';
-    os << ' ' << counts_[i] << '\n';
-  }
-  return os.str();
 }
 
 }  // namespace sent::util

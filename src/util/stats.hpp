@@ -2,11 +2,7 @@
 // the benchmark reporting code.
 #pragma once
 
-#include <cstddef>
-#include <map>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace sent::util {
 
@@ -25,60 +21,10 @@ double median(std::span<const double> xs);
 /// Linear-interpolated percentile, p in [0, 100]; 0 for empty input.
 double percentile(std::span<const double> xs, double p);
 
-/// Min / max; both 0 for empty input.
-double min_of(std::span<const double> xs);
-double max_of(std::span<const double> xs);
-
-/// Pearson correlation of two equal-length series; 0 if degenerate.
-double pearson(std::span<const double> xs, std::span<const double> ys);
-
-/// Euclidean norm.
-double l2_norm(std::span<const double> xs);
-
 /// Euclidean distance between two equal-length vectors.
 double l2_distance(std::span<const double> a, std::span<const double> b);
 
 /// Dot product of two equal-length vectors.
 double dot(std::span<const double> a, std::span<const double> b);
-
-/// Streaming mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  double variance() const;  ///< unbiased; 0 for n < 2
-  double stddev() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus two
-/// out-of-range buckets. Used by benches to summarize score distributions.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t total() const { return total_; }
-  std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  /// Render as a compact ASCII chart, one line per bucket.
-  std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0, overflow_ = 0;
-  std::size_t total_ = 0;
-};
 
 }  // namespace sent::util

@@ -65,8 +65,6 @@ std::string cell(double v, int precision) {
   return os.str();
 }
 
-std::string cell(long long v) { return std::to_string(v); }
-std::string cell(unsigned long long v) { return std::to_string(v); }
 std::string cell(int v) { return std::to_string(v); }
 std::string cell(std::size_t v) { return std::to_string(v); }
 

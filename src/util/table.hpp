@@ -35,8 +35,6 @@ class Table {
 std::string cell(double v, int precision = 4);
 
 /// Format an integer.
-std::string cell(long long v);
-std::string cell(unsigned long long v);
 std::string cell(int v);
 std::string cell(std::size_t v);
 

@@ -1,7 +1,7 @@
 // Dispatch-loop unit tests for the bytecode interpreter core (DESIGN.md
 // §12): every Op the builder can emit, backward branches, the branch-to-end
-// rewrite, the host-call escape hatch, unresolved-label errors, and the
-// typed-vs-host trace-parity guarantee.
+// rewrite, unresolved-label errors, and the typed-vs-host trace-parity
+// guarantee.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -126,7 +126,10 @@ TEST(BytecodeOps, MemMemCompareReadsBothOperands) {
   std::uint32_t x = 5, y = 5;
   int after = 0;
   CodeBuilder b2("h2", false);
-  b2.ret_if_u32_ge("guard", x, y).instr("after", [&] { ++after; });
+  // A branch to the end label is emitted as the return form.
+  b2.branch_if_u32_ge("guard", x, y, "end")
+      .instr("after", [&] { ++after; })
+      .label("end");
   CodeId id = b2.build(h.node.program());
   h.node.machine().register_handler(6, id);
   h.q.schedule_at(h.q.now() + 1, [&] { h.node.machine().raise_irq(6); });
@@ -169,30 +172,23 @@ TEST(BytecodeOps, ClearLsbPopcountLoop) {
   EXPECT_EQ(t.instrs.size(), 7u + 6u * 3u);
 }
 
+// u16 branches to the end label are emitted as the return forms.
 TEST(BytecodeOps, RetIfU16EqAndNe) {
   Harness h;
   std::uint16_t v = 7;
   int after = 0;
   CodeBuilder b("h", false);
-  b.ret_if_u16("ne_pass", v, Cmp::Ne, 7)  // false: falls through
-      .ret_if_u16("eq_stop", v, Cmp::Eq, 7)
-      .instr("after", [&] { ++after; });
-  h.run(b);
+  b.branch_if_u16("ne_pass", v, Cmp::Ne, 7, "end")  // false: falls through
+      .branch_if_u16("eq_stop", v, Cmp::Eq, 7, "end")
+      .instr("after", [&] { ++after; })
+      .label("end");
+  NodeTrace t = h.run(b);
   EXPECT_EQ(after, 0);
+  EXPECT_EQ(executed_names(t),
+            (std::vector<std::string>{"ne_pass", "eq_stop"}));
 }
 
-// -------------------------------------------------------------- u64 ops
-
-TEST(BytecodeOps, AddU64Accumulates) {
-  Harness h;
-  std::uint64_t total = 0xFFFFFFFFull;
-  CodeBuilder b("h", false);
-  b.add_u64("acc", total, 2);  // crosses the 32-bit boundary
-  h.run(b);
-  EXPECT_EQ(total, 0x100000001ull);
-}
-
-// -------------------------------------------------- control flow & hosts
+// --------------------------------------------------------- control flow
 
 TEST(BytecodeOps, BackwardBranchCountdownLoop) {
   Harness h;
@@ -223,34 +219,6 @@ TEST(BytecodeOps, BranchToEndActsAsReturn) {
   NodeTrace t = h.run(b);
   EXPECT_EQ(after, 0);
   EXPECT_EQ(executed_names(t), (std::vector<std::string>{"exit"}));
-}
-
-// The full escape hatch: the closure drives control flow itself.
-TEST(BytecodeOps, CallHostJumpRetNextProtocol) {
-  Harness h;
-  std::vector<std::string> log;
-  int rounds = 0;
-  CodeBuilder b("h", false);
-  // Instruction indices: 0=entry 1=middle 2=spin 3=tail
-  b.call_host("entry",
-              [&] {
-                log.push_back("entry");
-                return StepAction::jump(2);  // skip "middle"
-              })
-      .instr("middle", [&] { log.push_back("middle"); })
-      .call_host("spin",
-                 [&] {
-                   log.push_back("spin");
-                   return ++rounds < 3 ? StepAction::jump(2)
-                                       : StepAction::next();
-                 })
-      .call_host("tail", [&] {
-        log.push_back("tail");
-        return StepAction::ret();
-      });
-  h.run(b);
-  EXPECT_EQ(log, (std::vector<std::string>{"entry", "spin", "spin", "spin",
-                                           "tail"}));
 }
 
 TEST(BytecodeOps, UnresolvedLabelThrowsForTypedBranches) {

@@ -28,8 +28,20 @@ AnalysisReport fake_report(std::uint64_t seed) {
   return report;
 }
 
+// A serial campaign over seeds first_seed .. first_seed + runs - 1.
+CampaignStats run_serial(const ScenarioRunner& runner,
+                         std::uint64_t first_seed, std::size_t runs,
+                         std::size_t k) {
+  CampaignOptions options;
+  options.first_seed = first_seed;
+  options.runs = runs;
+  options.k = k;
+  options.threads = 1;
+  return run_campaign(runner, options);
+}
+
 TEST(Campaign, CountsTriggersAndDetections) {
-  CampaignStats stats = run_campaign(fake_report, /*first_seed=*/0,
+  CampaignStats stats = run_serial(fake_report, /*first_seed=*/0,
                                      /*runs=*/9, /*k=*/3);
   // Seeds 0..8: triggered at 0, 3, 6 -> ranks 1, 4, 7.
   EXPECT_EQ(stats.runs, 9u);
@@ -42,7 +54,7 @@ TEST(Campaign, CountsTriggersAndDetections) {
 }
 
 TEST(Campaign, NoTriggersMeansNoDetection) {
-  CampaignStats stats = run_campaign(
+  CampaignStats stats = run_serial(
       [](std::uint64_t) { return fake_report(1); }, 0, 5, 3);
   EXPECT_EQ(stats.triggered, 0u);
   // Nothing triggered means the detector was never exercised; reporting a
@@ -52,24 +64,15 @@ TEST(Campaign, NoTriggersMeansNoDetection) {
 }
 
 TEST(Campaign, Validation) {
-  EXPECT_THROW(run_campaign(nullptr, 0, 5, 3), util::PreconditionError);
-  EXPECT_THROW(run_campaign(fake_report, 0, 0, 3),
+  EXPECT_THROW(run_serial(nullptr, 0, 5, 3), util::PreconditionError);
+  EXPECT_THROW(run_serial(fake_report, 0, 0, 3),
                util::PreconditionError);
-  EXPECT_THROW(run_campaign(fake_report, 0, 5, 0),
+  EXPECT_THROW(run_serial(fake_report, 0, 5, 0),
                util::PreconditionError);
   CampaignOptions options;
   options.runs = 0;
   EXPECT_THROW(run_campaign(fake_report, options),
                util::PreconditionError);
-}
-
-TEST(Campaign, OptionsOverloadMatchesLegacySignature) {
-  CampaignOptions options;
-  options.first_seed = 0;
-  options.runs = 9;
-  options.k = 3;
-  EXPECT_EQ(run_campaign(fake_report, options),
-            run_campaign(fake_report, 0, 9, 3));
 }
 
 // The determinism guarantee: fanning seeds across a pool must yield
@@ -115,7 +118,7 @@ TEST(Campaign, ParallelRealScenarioMatchesSerial) {
 }
 
 TEST(Campaign, SummaryMentionsRates) {
-  CampaignStats stats = run_campaign(fake_report, 0, 9, 3);
+  CampaignStats stats = run_serial(fake_report, 0, 9, 3);
   std::string text = summarize(stats);
   EXPECT_NE(text.find("9 runs"), std::string::npos);
   EXPECT_NE(text.find("triggered in 3"), std::string::npos);
@@ -131,7 +134,7 @@ TEST(CampaignFaults, ThrowingSeedIsIsolated) {
     if (seed == 4) throw std::runtime_error("seed 4 exploded");
     return fake_report(seed);
   };
-  CampaignStats stats = run_campaign(runner, /*first_seed=*/0, /*runs=*/9,
+  CampaignStats stats = run_serial(runner, /*first_seed=*/0, /*runs=*/9,
                                      /*k=*/3);
   EXPECT_EQ(stats.runs, 9u);
   EXPECT_EQ(stats.failed, 1u);
@@ -155,7 +158,7 @@ TEST(CampaignFaults, WatchdogClassifiedAsTimedOut) {
     if (seed % 2 == 0) throw sim::WatchdogTimeout("budget exhausted");
     return fake_report(seed);
   };
-  CampaignStats stats = run_campaign(runner, 0, 6, 3);
+  CampaignStats stats = run_serial(runner, 0, 6, 3);
   EXPECT_EQ(stats.timed_out, 3u);
   EXPECT_EQ(stats.failed, 0u);
   for (const RunFailure& f : stats.failures)
@@ -308,7 +311,7 @@ TEST(CampaignFaults, EventBudgetTimesOutRealScenario) {
     apps::Case2Result r = apps::run_case2(config);
     return analyze({{&r.relay_trace, 0}}, os::irq::kRadioSpi);
   };
-  CampaignStats stats = run_campaign(runner, 1, 2, 5);
+  CampaignStats stats = run_serial(runner, 1, 2, 5);
   EXPECT_EQ(stats.timed_out, 2u);
   EXPECT_EQ(stats.completed(), 0u);
   // The failure record carries the budget and the events executed at the
@@ -328,7 +331,7 @@ TEST(CampaignFaults, SummaryMentionsFailures) {
     if (seed == 1) throw sim::WatchdogTimeout("slow");
     return fake_report(seed);
   };
-  std::string text = summarize(run_campaign(runner, 0, 4, 3));
+  std::string text = summarize(run_serial(runner, 0, 4, 3));
   EXPECT_NE(text.find("failed 1"), std::string::npos);
   EXPECT_NE(text.find("timed out 1"), std::string::npos);
 }
@@ -374,7 +377,7 @@ TEST(CampaignJournal, JournaledParallelMatchesSerialAndResumes) {
 
 // Real scenario: case II triggers often and detects at rank 1.
 TEST(Campaign, RealCase2Campaign) {
-  CampaignStats stats = run_campaign(
+  CampaignStats stats = run_serial(
       [](std::uint64_t seed) {
         apps::Case2Config config;
         config.seed = seed;

@@ -59,7 +59,6 @@ TEST(GilbertElliott, StuckInBurstLosesEverything) {
     q.run_all();
   }
   EXPECT_EQ(rx.frames, 0);
-  EXPECT_TRUE(ch.link_in_burst(0, 1));
 }
 
 TEST(GilbertElliott, LossesAreBursty) {

@@ -104,8 +104,8 @@ TEST(FaultInjector, SensorStuckWindowFreezesReading) {
   plan.sensor_stuck_ms = 50.0;
   FaultInjector injector(queue, plan, util::Rng(5),
                          sim::cycles_from_seconds(1.0));
-  hw::SensorFn counter =
-      injector.wrap_sensor(hw::make_counter_sensor(), "adc-0");
+  hw::SensorFn counter = injector.wrap_sensor(
+      [n = std::uint16_t{0}](sim::Cycle) mutable { return n++; }, "adc-0");
   ASSERT_GT(injector.counts().sensor_stuck_windows, 0u);
   // At this density the very first samples land inside a window: repeated
   // reads at nearby cycles return the frozen value.

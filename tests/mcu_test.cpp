@@ -3,6 +3,7 @@
 #include <string>
 #include <vector>
 
+#include "lifecycle_notation.hpp"
 #include "os/node.hpp"
 #include "util/assert.hpp"
 
@@ -43,13 +44,13 @@ struct Harness {
 TEST(CodeBuilder, AssignsGlobalInstructionIds) {
   Program prog;
   CodeBuilder("h1", false).instr("a", [] {}).instr("b", [] {}).build(prog);
-  CodeBuilder("t1", true).instr("c", [] {}).build(prog);
+  CodeId t1 = CodeBuilder("t1", true).instr("c", [] {}).build(prog);
   EXPECT_EQ(prog.instr_count(), 3u);
   EXPECT_EQ(prog.instr_table()[0].code_object, "h1");
   EXPECT_EQ(prog.instr_table()[2].code_object, "t1");
   EXPECT_EQ(prog.instr_table()[2].name, "c");
-  EXPECT_EQ(prog.find("t1"), 1u);
-  EXPECT_THROW(prog.find("nope"), util::PreconditionError);
+  EXPECT_EQ(t1, 1u);
+  EXPECT_EQ(prog.code(t1).name, "t1");
 }
 
 TEST(CodeBuilder, RejectsDuplicateNamesAndEmptyBodies) {
@@ -230,25 +231,6 @@ TEST(Machine, LowerPriorityInterruptWaitsForReti) {
   EXPECT_EQ(compact(t), "int(2) reti int(5) reti");
 }
 
-TEST(Machine, NestingPolicyNoneSerializesHandlers) {
-  Harness h;
-  h.node.machine().set_nesting(NestingPolicy::None);
-  auto& prog = h.node.program();
-  CodeId slow = CodeBuilder("slow", false)
-                    .instr("s0", [] {})
-                    .instr("s1", [] {})
-                    .instr("s2", [] {})
-                    .instr("s3", [] {})
-                    .build(prog);
-  CodeId fast = CodeBuilder("fast", false).instr("f0", [] {}).build(prog);
-  h.node.machine().register_handler(5, slow);
-  h.node.machine().register_handler(2, fast);
-  h.raise_at(0, 5);
-  h.raise_at(15, 2);
-  NodeTrace t = h.run();
-  EXPECT_EQ(compact(t), "int(5) reti int(2) reti");
-}
-
 TEST(Machine, SameLineRaiseIsLatchedNotNested) {
   Harness h;
   auto& prog = h.node.program();
@@ -340,11 +322,14 @@ TEST(Machine, SleepsWhenIdleAndWakes) {
   CodeId handler =
       CodeBuilder("handler", false).instr("a", [] {}).build(h.node.program());
   h.node.machine().register_handler(5, handler);
-  EXPECT_TRUE(h.node.machine().sleeping());
+  EXPECT_TRUE(h.q.empty());  // an idle machine schedules no step
   h.raise_at(10, 5);
   h.q.run_all();
-  EXPECT_TRUE(h.node.machine().sleeping());
+  // Woken by the raise at cycle 10 after the wake-up latency, then idle
+  // again with no frame left.
+  EXPECT_EQ(h.node.machine().interrupts_delivered(), 1u);
   EXPECT_EQ(h.node.machine().frame_depth(), 0u);
+  EXPECT_EQ(h.node.take_trace().lifecycle.front().cycle, 10u + cost::kWakeup);
 }
 
 TEST(Machine, RegistrationPreconditions) {

@@ -65,10 +65,10 @@ TEST(Scaler, StandardizesColumns) {
   s.fit(rows);
   EXPECT_NEAR(s.mean()[0], 3.0, 1e-12);
   EXPECT_EQ(s.scale()[1], 1.0);  // zero variance guarded
-  auto z = s.transform(rows);
-  EXPECT_NEAR(z[0][0], -std::sqrt(1.5), 1e-9);
-  EXPECT_NEAR(z[1][0], 0.0, 1e-12);
-  EXPECT_NEAR(z[0][1], 0.0, 1e-12);
+  Matrix z = s.transform(Matrix::from_rows(rows));
+  EXPECT_NEAR(z(0, 0), -std::sqrt(1.5), 1e-9);
+  EXPECT_NEAR(z(1, 0), 0.0, 1e-12);
+  EXPECT_NEAR(z(0, 1), 0.0, 1e-12);
 }
 
 TEST(Scaler, Validation) {
@@ -76,7 +76,7 @@ TEST(Scaler, Validation) {
   EXPECT_THROW(s.fit(Matrix{}), util::PreconditionError);
   EXPECT_THROW(s.fit({{1.0}, {1.0, 2.0}}), util::PreconditionError);
   s.fit({{1.0, 2.0}});
-  EXPECT_THROW(s.transform(std::vector<double>{1.0}),
+  EXPECT_THROW(s.transform(Matrix::from_rows({{1.0}})),
                util::PreconditionError);
 }
 
@@ -199,7 +199,7 @@ TEST(Eigen, ReconstructsMatrix) {
 
 TEST(Eigen, CovarianceOfKnownData) {
   Rows rows{{0, 0}, {2, 2}, {0, 2}, {2, 0}};
-  auto cov = covariance_matrix(rows);
+  auto cov = covariance_matrix(Matrix::from_rows(rows));
   EXPECT_NEAR(cov[0], 1.0, 1e-12);  // var x
   EXPECT_NEAR(cov[3], 1.0, 1e-12);  // var y
   EXPECT_NEAR(cov[1], 0.0, 1e-12);  // uncorrelated
@@ -258,8 +258,9 @@ TEST(Ocsvm, InductiveDecisionSeparatesNewPoints) {
   Rows rows = blob_with_outliers(300, 0, 19);
   OneClassSvm svm;
   svm.fit(rows);
-  EXPECT_GT(svm.decision({0.0, 0.0}), 0.0);
-  EXPECT_LT(svm.decision({50.0, 50.0}), 0.0);
+  std::vector<double> f = svm.decision_batch(Rows{{0.0, 0.0}, {50.0, 50.0}});
+  EXPECT_GT(f[0], 0.0);
+  EXPECT_LT(f[1], 0.0);
 }
 
 TEST(Ocsvm, DeterministicScores) {
@@ -268,6 +269,20 @@ TEST(Ocsvm, DeterministicScores) {
   auto sa = a.score(rows);
   auto sb = b.score(rows);
   EXPECT_EQ(sa, sb);
+}
+
+// Draws an index with probability proportional to its (non-negative)
+// weight.
+std::size_t weighted_index(util::Rng& rng, const std::vector<double>& weights) {
+  double total = 0.0;
+  for (double w : weights) total += w;
+  double x = rng.uniform() * total;
+  double acc = 0.0;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    acc += weights[i];
+    if (x < acc) return i;
+  }
+  return weights.size() - 1;
 }
 
 // Feature matrices shaped like pooled Fig. 5(a): 33 distinct integer
@@ -292,7 +307,7 @@ Matrix duplicated_counts(std::uint64_t seed, std::vector<std::size_t>& group) {
     weights[k] = 1.0 / static_cast<double>((k + 1) * (k + 1));
   group.clear();
   for (std::size_t k = 0; k < kDistinct; ++k) group.push_back(k);
-  while (group.size() < kRows) group.push_back(rng.weighted(weights));
+  while (group.size() < kRows) group.push_back(weighted_index(rng, weights));
   rng.shuffle(group);
   Matrix x(0, kDim);
   for (std::size_t k : group) x.append_row(distinct[k]);
@@ -336,8 +351,9 @@ struct RegistryOn {
 };
 
 obs::HistogramData distinct_rows(const obs::Snapshot& snap) {
-  const obs::HistogramData* h = snap.histogram_data("ml.distinct_rows_per_fit");
-  return h == nullptr ? obs::HistogramData{} : *h;
+  for (const auto& [name, data] : snap.histograms)
+    if (name == "ml.distinct_rows_per_fit") return data;
+  return {};
 }
 
 // The fit builds its Gram over the distinct rows only (DESIGN.md §10),
@@ -466,7 +482,7 @@ TEST(Ocsvm, ParamValidation) {
   bad.nu = 1.5;
   EXPECT_THROW(OneClassSvm{bad}, util::PreconditionError);
   OneClassSvm svm;
-  EXPECT_THROW(svm.decision({1.0}), util::PreconditionError);
+  EXPECT_THROW(svm.decision_batch(Rows{{1.0}}), util::PreconditionError);
   EXPECT_THROW(svm.score(Matrix{}), util::PreconditionError);
 }
 

@@ -33,15 +33,6 @@ TEST(Packet, SizeAccountsForTypeAndPayload) {
   EXPECT_EQ(rts.size_bytes(), 6u);
 }
 
-TEST(Packet, ToStringMentionsFields) {
-  Packet p = data_packet(kBroadcast, 5);
-  p.am_type = 10;
-  std::string s = p.to_string();
-  EXPECT_NE(s.find("Data[10]"), std::string::npos);
-  EXPECT_NE(s.find("->*"), std::string::npos);
-  EXPECT_NE(s.find("seq=5"), std::string::npos);
-}
-
 TEST(Packet, U16RoundTrip) {
   std::vector<std::uint8_t> buf;
   put_u16(buf, 0xBEEF);
@@ -74,8 +65,7 @@ TEST(Channel, DeliversToEveryoneButSender) {
 
 TEST(Channel, DeliveryHappensAtAirtimeEnd) {
   ChannelHarness h;
-  h.q.advance_to(50);
-  h.ch.transmit(0, data_packet(1), 200);
+  h.q.schedule_at(50, [&] { h.ch.transmit(0, data_packet(1), 200); });
   h.q.run_until(249);
   EXPECT_TRUE(h.b.frames.empty());
   h.q.run_all();
@@ -113,9 +103,7 @@ TEST(Channel, CarrierRespectsTopology) {
 TEST(Channel, OverlappingTransmissionsCollideAtCommonReceivers) {
   ChannelHarness h;
   h.ch.transmit(0, data_packet(kBroadcast), 100);
-  h.q.run_until(50);
-  h.q.advance_to(50);
-  h.ch.transmit(1, data_packet(kBroadcast), 100);
+  h.q.schedule_at(50, [&] { h.ch.transmit(1, data_packet(kBroadcast), 100); });
   h.q.run_all();
   // Node 2 hears both -> both corrupted there. Node 0 and 1 were each
   // transmitting during the other's frame -> nothing received anywhere.
@@ -250,9 +238,8 @@ TEST(ChannelWide, HiddenTerminalsCollideAtSharedReceiver) {
   h.ch.add_link(200, 128);
   h.ch.add_link(63, 64);
   h.ch.transmit(63, data_packet(kBroadcast), 100);
-  h.q.run_until(40);
-  h.q.advance_to(40);
-  h.ch.transmit(200, data_packet(kBroadcast), 100);
+  h.q.schedule_at(40,
+                  [&] { h.ch.transmit(200, data_packet(kBroadcast), 100); });
   h.q.run_all();
   EXPECT_EQ(h.log, (std::vector<NodeId>{64}));  // 63's frame, intact
   EXPECT_EQ(h.ch.frames_collided(), 2u);        // both copies at 128
@@ -324,19 +311,6 @@ TEST(Topology, GridConnectivity) {
   EXPECT_EQ(caps[0].frames.size(), 1u);  // 8's frame not heard at corner 0
   EXPECT_EQ(caps[5].frames.size(), 1u);
   EXPECT_EQ(caps[7].frames.size(), 1u);
-}
-
-TEST(Topology, StarConnectsLeavesToHubOnly) {
-  sim::EventQueue q;
-  Channel ch(q, util::Rng(1));
-  std::vector<Capture> caps(4);
-  for (NodeId i = 0; i < 4; ++i) ch.add_node(i, &caps[i]);
-  make_star(ch, 0, {1, 2, 3});
-  ch.transmit(1, data_packet(kBroadcast), 10);
-  q.run_all();
-  EXPECT_EQ(caps[0].frames.size(), 1u);
-  EXPECT_TRUE(caps[2].frames.empty());
-  EXPECT_TRUE(caps[3].frames.empty());
 }
 
 }  // namespace

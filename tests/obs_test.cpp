@@ -31,6 +31,19 @@ class ObsTest : public ::testing::Test {
   obs::Registry registry_;
 };
 
+// Spans recorded so far in the global trace log: one "X" event each in its
+// Chrome JSON. The log is process-wide and only grows, so tests compare
+// counts before and after.
+std::size_t span_count() {
+  const std::string json = obs::TraceLog::global().to_chrome_json();
+  const std::string event = "\"ph\": \"X\"";
+  std::size_t n = 0;
+  for (auto at = json.find(event); at != std::string::npos;
+       at = json.find(event, at + 1))
+    ++n;
+  return n;
+}
+
 TEST_F(ObsTest, CountersSumAcrossValues) {
   registry_.set_enabled(true);
   obs::Counter c = registry_.counter("c");
@@ -141,15 +154,18 @@ TEST_F(ObsTest, MergeIsThreadCountInvariant) {
 TEST_F(ObsTest, PercentileTracksNaiveReference) {
   util::Rng rng(7);
   for (int round = 0; round < 20; ++round) {
-    obs::HistogramData h;
+    obs::Registry registry;
+    registry.set_enabled(true);
+    obs::Histogram handle = registry.histogram("h");
     std::vector<std::uint64_t> values;
     const int n = 1 + static_cast<int>(rng.below(400));
     for (int i = 0; i < n; ++i) {
       // Mixed magnitudes, including the exact buckets 0 and 1.
       std::uint64_t v = rng.below(1u << rng.below(24));
       values.push_back(v);
-      h.record(v);
+      handle.record(v);
     }
+    const obs::HistogramData h = registry.snapshot().histograms[0].second;
     std::sort(values.begin(), values.end());
     for (double p : {0.0, 10.0, 50.0, 90.0, 99.0, 100.0}) {
       double rank = p / 100.0 * static_cast<double>(values.size());
@@ -243,13 +259,13 @@ TEST_F(ObsTest, TimersExcludedFromDeterministicEquality) {
 TEST_F(ObsTest, ScopedTimerRecordsElapsed) {
   obs::TraceLog& log = obs::TraceLog::global();
   log.set_enabled(false);
-  log.clear();
+  const std::size_t spans = span_count();
   const obs::Phase phase("test.t", registry_);
   {
     obs::Span span(phase);
   }
   EXPECT_EQ(registry_.snapshot().timer_data("test.t")->count, 0u);
-  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(span_count(), spans);
 
   registry_.set_enabled(true);
   {
@@ -263,7 +279,7 @@ TEST_F(ObsTest, ScopedTimerRecordsElapsed) {
   EXPECT_EQ(snap.timers[0].first, "test.t");
   EXPECT_EQ(snap.timers[0].second.count, 2u);
   EXPECT_TRUE(snap.histograms.empty());
-  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(span_count(), spans);
 
   log.set_enabled(true);
   {
@@ -271,10 +287,9 @@ TEST_F(ObsTest, ScopedTimerRecordsElapsed) {
   }
   log.set_enabled(false);
   EXPECT_EQ(registry_.snapshot().timer_data("test.t")->count, 3u);
-  ASSERT_EQ(log.size(), 1u);
+  ASSERT_EQ(span_count(), spans + 1);
   EXPECT_NE(log.to_chrome_json().find("\"name\": \"test.t\""),
             std::string::npos);
-  log.clear();
 }
 
 TEST_F(ObsTest, SnapshotSectionsAreSortedByName) {
@@ -350,11 +365,11 @@ TEST(ObsTraceTest, SpansRecordOnlyWhenEnabled) {
   const obs::Phase inner_phase("test.inner", registry);
   obs::TraceLog& log = obs::TraceLog::global();
   log.set_enabled(false);
-  log.clear();
+  const std::size_t spans = span_count();
   {
     obs::Span span(outer_phase);
   }
-  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(span_count(), spans);
 
   log.set_enabled(true);
   {
@@ -362,7 +377,7 @@ TEST(ObsTraceTest, SpansRecordOnlyWhenEnabled) {
     obs::Span inner(inner_phase);
   }
   log.set_enabled(false);
-  EXPECT_EQ(log.size(), 2u);
+  EXPECT_EQ(span_count(), spans + 2);
   const obs::Snapshot snap = registry.snapshot();
   EXPECT_EQ(snap.timer_data("test.outer")->count, 0u);
   EXPECT_EQ(snap.timer_data("test.inner")->count, 0u);
@@ -374,8 +389,6 @@ TEST(ObsTraceTest, SpansRecordOnlyWhenEnabled) {
   EXPECT_NE(json.find("\"name\": \"test.inner\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
   EXPECT_NE(json.find("\"args\": {\"v\": 42}"), std::string::npos);
-  log.clear();
-  EXPECT_EQ(log.size(), 0u);
 }
 
 }  // namespace

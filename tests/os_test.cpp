@@ -55,36 +55,6 @@ TEST(Kernel, PlainPostAllowsDuplicates) {
   EXPECT_EQ(runs_items, 2);
 }
 
-TEST(Kernel, PostUniqueRefusesDuplicateAndEmitsNothing) {
-  Harness h;
-  int runs = 0;
-  mcu::CodeId code = make_task(h, "t", [&] { ++runs; });
-  trace::TaskId t = h.node.kernel().register_task(code);
-  h.q.schedule_at(0, [&] {
-    EXPECT_TRUE(h.node.kernel().post_unique(t));
-    EXPECT_FALSE(h.node.kernel().post_unique(t));
-    EXPECT_EQ(h.node.kernel().queue_depth(), 1u);
-  });
-  h.q.run_all();
-  EXPECT_EQ(runs, 1);
-  auto tr = h.node.take_trace();
-  int posts = 0;
-  for (const auto& item : tr.lifecycle)
-    posts += item.kind == trace::LifecycleKind::PostTask;
-  EXPECT_EQ(posts, 1);  // failed post_unique leaves no lifecycle item
-}
-
-TEST(Kernel, PostUniqueAllowedAgainAfterRun) {
-  Harness h;
-  int runs = 0;
-  mcu::CodeId code = make_task(h, "t", [&] { ++runs; });
-  trace::TaskId t = h.node.kernel().register_task(code);
-  h.q.schedule_at(0, [&] { h.node.kernel().post_unique(t); });
-  h.q.schedule_at(10000, [&] { EXPECT_TRUE(h.node.kernel().post_unique(t)); });
-  h.q.run_all();
-  EXPECT_EQ(runs, 2);
-}
-
 TEST(Timers, PeriodicFiresRepeatedly) {
   Harness h;
   int fires = 0;
@@ -170,10 +140,18 @@ TEST(Timers, NamesAndLineAllocation) {
   trace::IrqLine b = h.node.timers().create("beta");
   EXPECT_EQ(a, irq::kTimerBase);
   EXPECT_EQ(b, irq::kTimerBase + 1);
-  EXPECT_EQ(h.node.timers().name(a), "alpha");
-  EXPECT_EQ(h.node.timers().name(b), "beta");
-  EXPECT_THROW(h.node.timers().name(irq::kTimerBase + 2),
+  EXPECT_TRUE(h.node.timers().owns(b));
+  EXPECT_FALSE(h.node.timers().owns(irq::kTimerBase + 2));
+  EXPECT_THROW(h.node.timers().running(irq::kTimerBase + 2),
                util::PreconditionError);
+  // A timer's name labels its errors.
+  h.node.timers().start_periodic(a, 100);
+  try {
+    h.node.timers().start_periodic(a, 100);
+    ADD_FAILURE() << "restarting a running timer must throw";
+  } catch (const util::PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("timer alpha"), std::string::npos);
+  }
 }
 
 TEST(Timers, ZeroPeriodRejected) {
@@ -222,8 +200,8 @@ TEST(Timers, DriftValidation) {
 
 TEST(Node, MarkBugRecordsGroundTruth) {
   Harness h;
-  h.q.advance_to(123);
-  h.node.mark_bug("test-kind");
+  h.q.schedule_at(123, [&] { h.node.mark_bug("test-kind"); });
+  h.q.run_all();
   auto tr = h.node.take_trace();
   ASSERT_EQ(tr.bugs.size(), 1u);
   EXPECT_EQ(tr.bugs[0].cycle, 123u);

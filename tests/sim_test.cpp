@@ -124,24 +124,6 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty) {
   EXPECT_FALSE(q.step());
 }
 
-TEST(EventQueue, AdvanceToMovesClockWithoutEvents) {
-  EventQueue q;
-  q.advance_to(500);
-  EXPECT_EQ(q.now(), 500u);
-}
-
-TEST(EventQueue, AdvanceToCannotSkipPendingEvent) {
-  EventQueue q;
-  q.schedule_at(100, [] {});
-  EXPECT_THROW(q.advance_to(200), util::PreconditionError);
-}
-
-TEST(EventQueue, AdvanceToBackwardThrows) {
-  EventQueue q;
-  q.advance_to(10);
-  EXPECT_THROW(q.advance_to(5), util::PreconditionError);
-}
-
 TEST(EventQueue, EventsCanScheduleMoreEvents) {
   EventQueue q;
   int depth = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "lifecycle_notation.hpp"
 #include "trace/lifecycle.hpp"
 #include "trace/recorder.hpp"
 #include "util/assert.hpp"
