@@ -316,13 +316,11 @@ void run_scale_rep(const std::string& case_name, ScaleLeg& leg) {
 }
 
 int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
-              std::size_t jobs) {
+              std::size_t jobs, std::size_t reps, double intensity,
+              double min_efficiency) {
   const std::string case_name =
       cli.get("case") == "all" ? std::string("II") : cli.get("case");
   options.runs = static_cast<std::size_t>(cli.get_nonneg_int("scale"));
-  const auto reps = static_cast<std::size_t>(cli.get_nonneg_int("reps"));
-  const double intensity = cli.get_double("faults");
-  const double min_efficiency = cli.get_double("min-efficiency");
 
   pipeline::CaseRunnerConfig pooled;
   pooled.intensity = intensity;
@@ -509,14 +507,18 @@ int main(int argc, char** argv) {
   options.k = static_cast<std::size_t>(cli.get_positive_int("top-k"));
   options.first_seed = static_cast<std::uint64_t>(cli.get_int("first-seed"));
   std::size_t jobs = bench::parse_jobs(cli);
+  // Read before the mode is chosen, so a bad value is a usage error in
+  // every mode, not only in the one that uses it.
+  const auto reps = static_cast<std::size_t>(cli.get_positive_int("reps"));
+  const double intensity = cli.get_nonneg_double("faults");
+  const double min_efficiency = cli.get_nonneg_double("min-efficiency");
 
   if (!cli.get("journal").empty()) return run_durable(cli, options, jobs);
   // The timed legs' phase tables read the registry's timers.
   obs::Registry::global().set_enabled(true);
-  if (cli.get_nonneg_int("scale") > 0) return run_scale(cli, options, jobs);
+  if (cli.get_nonneg_int("scale") > 0)
+    return run_scale(cli, options, jobs, reps, intensity, min_efficiency);
 
-  const auto reps = std::max<std::size_t>(
-      1, static_cast<std::size_t>(cli.get_nonneg_int("reps")));
   const auto warmup = static_cast<std::size_t>(cli.get_nonneg_int("warmup"));
 
   bench::section("Extension E2: randomized campaigns (trigger vs detect)");

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   // The JSON is the deterministic stats_json, so an interrupted-then-
   // resumed chaos campaign can be cmp(1)d against an uninterrupted one.
   if (!cli.get("journal").empty()) {
-    const double intensity = cli.get_double("faults");
+    const double intensity = cli.get_nonneg_double("faults");
     options.threads = jobs;
     options.journal_path = cli.get("journal");
     options.resume = cli.get_switch("resume");
@@ -183,7 +183,7 @@ int main(int argc, char** argv) {
   // 4.0 is deliberately past the salvageable regime: some seeds land in
   // Failed/TimedOut there, exercising the isolation paths on every run.
   std::vector<double> grid = {0.0, 0.25, 0.5, 1.0, 4.0};
-  if (double extra = cli.get_double("faults"); extra > 0.0)
+  if (double extra = cli.get_nonneg_double("faults"); extra > 0.0)
     grid.push_back(extra);
   std::vector<GridRow> rows;
   bool all_deterministic = true;

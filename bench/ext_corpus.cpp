@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
       cli.get_nonneg_int("first-seed"));
   options.seeds = static_cast<std::size_t>(cli.get_nonneg_int("seeds"));
   options.k = static_cast<std::size_t>(cli.get_positive_int("top-k"));
-  options.run_scale = cli.get_double("run-scale");
+  options.run_scale = cli.get_positive_double("run-scale");
   options.threads = bench::parse_jobs(cli);
   if (options.seeds == 0) {
     std::fprintf(stderr, "--seeds must be positive\n");

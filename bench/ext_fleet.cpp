@@ -190,8 +190,8 @@ int main(int argc, char** argv) {
   const auto streams = static_cast<std::size_t>(cli.get_positive_int("streams"));
   const auto first_seed =
       static_cast<std::uint64_t>(cli.get_int("first-seed"));
-  const double run_seconds = cli.get_double("run-seconds");
-  const double chaos = cli.get_double("chaos");
+  const double run_seconds = cli.get_positive_double("run-seconds");
+  const double chaos = cli.get_nonneg_double("chaos");
   std::size_t jobs = bench::parse_jobs(cli);
 
   bench::section("Extension E6: streaming fleet ingest");

@@ -167,8 +167,8 @@ int main(int argc, char** argv) {
   if (!cli.parse(argc, argv)) return 1;
 
   auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  int reps = static_cast<int>(cli.get_nonneg_int("reps"));
-  double min_mips = std::stod(cli.get("min-mips"));
+  int reps = static_cast<int>(cli.get_positive_int("reps"));
+  double min_mips = cli.get_nonneg_double("min-mips");
 
   bench::section("Extension E6: interpreter-core throughput");
   std::printf("seed %llu, best of %d reps per case\n\n",

@@ -31,8 +31,8 @@ int main(int argc, char** argv) {
 
   apps::Case2Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.run_seconds = cli.get_double("run-seconds");
-  config.mean_interval_ms = cli.get_double("mean-interval-ms");
+  config.run_seconds = cli.get_positive_double("run-seconds");
+  config.mean_interval_ms = cli.get_positive_double("mean-interval-ms");
   const bool fixed = cli.get_switch("fixed");
   if (fixed) config.relay_mutation = apps::RelayMutation::None;
 

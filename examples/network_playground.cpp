@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   sim::EventQueue queue;
   net::Channel channel(queue, rng.substream("channel"));
-  channel.set_loss_rate(cli.get_double("loss"));
+  channel.set_loss_rate(cli.get_probability("loss"));
 
   hw::RadioParams radio;
   radio.bits_per_second = 100000.0;
@@ -56,11 +56,11 @@ int main(int argc, char** argv) {
   net::make_grid(channel, rows, cols);
   for (auto& app : ctp_apps) app->start();
 
-  double seconds = cli.get_double("seconds");
+  double seconds = cli.get_positive_double("seconds");
   queue.run_until(sim::cycles_from_seconds(seconds));
 
   std::printf("ran %.0f virtual seconds on a %zux%zu grid (loss %.0f%%)\n\n",
-              seconds, rows, cols, cli.get_double("loss") * 100);
+              seconds, rows, cols, cli.get_probability("loss") * 100);
 
   util::Table table({"node", "role", "parent", "path ETX", "queue",
                      "alive neighbors", "reports", "hb skipped (busy)"});

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
@@ -124,10 +125,29 @@ double Cli::get_double(const std::string& name) const {
     std::size_t pos = 0;
     double v = std::stod(value, &pos);
     if (pos != value.size()) bad_value(name, value, "a number");
+    if (!std::isfinite(v)) bad_value(name, value, "a finite number");
     return v;
   } catch (const std::logic_error&) {
     bad_value(name, value, "a number");
   }
+}
+
+double Cli::get_positive_double(const std::string& name) const {
+  const double v = get_double(name);
+  if (v <= 0.0) bad_value(name, get(name), "a positive number");
+  return v;
+}
+
+double Cli::get_nonneg_double(const std::string& name) const {
+  const double v = get_double(name);
+  if (v < 0.0) bad_value(name, get(name), "a non-negative number");
+  return v;
+}
+
+double Cli::get_probability(const std::string& name) const {
+  const double v = get_double(name);
+  if (v < 0.0 || v > 1.0) bad_value(name, get(name), "a number in [0, 1]");
+  return v;
 }
 
 bool Cli::get_switch(const std::string& name) const {

@@ -33,7 +33,18 @@ class Cli {
   /// get_int that rejects values below 1 with a usage error, for counts
   /// whose consumer needs at least one (--runs, --top-k, --streams).
   std::int64_t get_positive_int(const std::string& name) const;
+  /// A finite number: NaN and infinities are usage errors, so no flag can
+  /// reach a comparison that NaN silently fails (a gate's floor) or a cast
+  /// to cycles that infinity overflows.
   double get_double(const std::string& name) const;
+  /// get_double that rejects values at or below 0 (durations, widths,
+  /// scales).
+  double get_positive_double(const std::string& name) const;
+  /// get_double that rejects negative values (intensities, and floors
+  /// where 0 switches the check off).
+  double get_nonneg_double(const std::string& name) const;
+  /// get_double that rejects values outside [0, 1] (probabilities).
+  double get_probability(const std::string& name) const;
   bool get_switch(const std::string& name) const;
 
  private:

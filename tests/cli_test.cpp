@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/cli.hpp"
 
 namespace sent::util {
@@ -85,6 +87,52 @@ TEST(CliDeathTest, NonNumericDoubleIsUsageError) {
   ASSERT_TRUE(cli.parse(2, argv));
   EXPECT_EXIT(cli.get_double("rate"), ::testing::ExitedWithCode(2),
               "flag --rate expects a number, got 'fast'");
+}
+
+// NaN and infinities parse as doubles but are usage errors: a NaN floor
+// compares false and would switch its gate off, an infinite duration
+// overflows the cast to cycles.
+TEST(CliDeathTest, NonFiniteDoubleIsUsageError) {
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    Cli cli = make_cli();
+    const std::string arg = std::string("--rate=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    ASSERT_TRUE(cli.parse(2, argv));
+    EXPECT_EXIT(cli.get_double("rate"), ::testing::ExitedWithCode(2),
+                "flag --rate expects a finite number")
+        << value;
+  }
+}
+
+TEST(CliDeathTest, SignedDoubleReadersRejectOutOfRange) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--rate=0"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(cli.get_nonneg_double("rate"), 0.0);
+  EXPECT_EQ(cli.get_probability("rate"), 0.0);
+  EXPECT_EXIT(cli.get_positive_double("rate"), ::testing::ExitedWithCode(2),
+              "flag --rate expects a positive number, got '0'");
+  Cli negative = make_cli();
+  const char* argv_negative[] = {"prog", "--rate=-0.5"};
+  ASSERT_TRUE(negative.parse(2, argv_negative));
+  EXPECT_EXIT(negative.get_nonneg_double("rate"),
+              ::testing::ExitedWithCode(2),
+              "flag --rate expects a non-negative number, got '-0.5'");
+  EXPECT_EXIT(negative.get_probability("rate"), ::testing::ExitedWithCode(2),
+              "flag --rate expects a number in \\[0, 1\\], got '-0.5'");
+}
+
+TEST(CliDeathTest, ProbabilityAboveOneIsUsageError) {
+  Cli cli = make_cli();
+  const char* argv[] = {"prog", "--rate=2"};
+  ASSERT_TRUE(cli.parse(2, argv));
+  EXPECT_EQ(cli.get_positive_double("rate"), 2.0);
+  EXPECT_EXIT(cli.get_probability("rate"), ::testing::ExitedWithCode(2),
+              "flag --rate expects a number in \\[0, 1\\], got '2'");
+  Cli one = make_cli();
+  const char* argv_one[] = {"prog", "--rate=1"};
+  ASSERT_TRUE(one.parse(2, argv_one));
+  EXPECT_EQ(one.get_probability("rate"), 1.0);
 }
 
 }  // namespace
