@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
     add("handler-only (int..reti)", w);
   }
   {
-    sim::Cycle width =
-        sim::cycles_from_millis(cli.get_positive_double("window-ms"));
+    sim::Cycle width = sim::cycles_from_millis(
+        cli.get_duration("window-ms", sim::kCyclesPerSecond, 1e3));
     std::vector<std::vector<core::EventInterval>> w;
     for (auto* t : traces) w.push_back(fixed_windows(*t, width));
     add("fixed windows", w);

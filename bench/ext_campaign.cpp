@@ -9,11 +9,10 @@
 // BENCH_campaign.json are stable.
 //
 // Scale mode (--scale N): one N-run chaos campaign (the amortized campaign
-// engine's headline, DESIGN.md §15) through three legs — serial pooled,
-// --jobs pooled, and --jobs with fresh per-run construction — asserting
-// CampaignStats AND merged obs snapshots are bit-identical across all
-// three (and that the serial leg's snapshot really counted N runs), and
-// reporting speedup / efficiency against min(jobs, hardware_threads).
+// engine's headline, DESIGN.md §15) through two legs — serial and --jobs —
+// asserting CampaignStats AND merged obs snapshots are bit-identical
+// across both (and that the serial leg's snapshot really counted N runs),
+// and reporting speedup / efficiency against min(jobs, hardware_threads).
 // --min-efficiency gates it for CI; --stats-out writes cmp(1)-able
 // stats_json files for the serial and parallel legs.
 //
@@ -147,6 +146,7 @@ pipeline::CampaignStats run_timed(
 }
 
 /// Durable-mode entry: one journaled (optionally resumed) campaign.
+/// `options` carries the journal, resume, retry and kill settings.
 int run_durable(const util::Cli& cli, pipeline::CampaignOptions options,
                 std::size_t jobs) {
   const std::string case_name = cli.get("case");
@@ -158,12 +158,6 @@ int run_durable(const util::Cli& cli, pipeline::CampaignOptions options,
   }
 
   options.threads = jobs;
-  options.journal_path = cli.get("journal");
-  options.resume = cli.get_switch("resume");
-  options.max_retries =
-      static_cast<std::size_t>(cli.get_nonneg_int("retries"));
-  options.harness_faults.kill_after_appends =
-      static_cast<std::uint64_t>(cli.get_nonneg_int("kill-after"));
 
   bench::section("Extension E2 (durable): journaled campaign");
   std::printf("case %s, %zu seeds, --jobs %zu, journal %s%s\n",
@@ -285,66 +279,57 @@ bool write_json(const std::string& path, std::size_t jobs,
 
 // ---- scale mode -----------------------------------------------------------
 
-/// One timed configuration (runner config × campaign options). Reps are
-/// driven round-robin across all legs by the caller, so slow machine
+/// One timed configuration (campaign options at one --jobs). Reps are
+/// driven round-robin across both legs by the caller, so slow machine
 /// drift (page cache, allocator arena growth, frequency scaling) lands
-/// evenly on every leg instead of favoring whichever leg runs last —
+/// evenly on each leg instead of favoring whichever leg runs last —
 /// back-to-back leg blocks were measurably biased by leg order.
 struct ScaleLeg {
-  pipeline::CaseRunnerConfig config;
   pipeline::CampaignOptions options;
   Leg timed;
   pipeline::CampaignStats stats;
   obs::Snapshot snapshot;
   double seconds = 0.0;  ///< median over reps
 
-  ScaleLeg(const pipeline::CaseRunnerConfig& config,
-           const pipeline::CampaignOptions& options)
-      : config(config), options(options) {}
+  explicit ScaleLeg(const pipeline::CampaignOptions& options)
+      : options(options) {}
 };
 
 /// One timed campaign of `leg`; stats from the last rep (all reps are
 /// bit-identical or the campaign itself is broken — checked by the caller
 /// against the serial leg). The obs registry is reset before each rep so
 /// the final snapshot covers exactly one campaign.
-void run_scale_rep(const std::string& case_name, ScaleLeg& leg) {
+void run_scale_rep(const std::string& case_name,
+                   const pipeline::CaseRunnerConfig& config, ScaleLeg& leg) {
   obs::Registry::global().reset();
-  leg.stats = run_timed(
-      pipeline::make_case_runner_factory(case_name, leg.config), leg.options,
-      case_name, leg.timed);
+  leg.stats =
+      run_timed(pipeline::make_case_runner_factory(case_name, config),
+                leg.options, case_name, leg.timed);
   leg.snapshot = obs::Registry::global().snapshot();
 }
 
+/// `options.runs` is the --scale run count; `config` the chaos runner.
 int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
-              std::size_t jobs, std::size_t reps, double intensity,
-              double min_efficiency) {
+              const pipeline::CaseRunnerConfig& config, std::size_t jobs,
+              std::size_t reps, double min_efficiency) {
   const std::string case_name =
       cli.get("case") == "all" ? std::string("II") : cli.get("case");
-  options.runs = static_cast<std::size_t>(cli.get_nonneg_int("scale"));
-
-  pipeline::CaseRunnerConfig pooled;
-  pooled.intensity = intensity;
-  pooled.event_budget =
-      static_cast<std::uint64_t>(cli.get_nonneg_int("cycle-budget"));
-  pooled.trace_round_trip = intensity > 0.0;
-  pipeline::CaseRunnerConfig fresh = pooled;
-  fresh.pooled = false;
 
   bench::section("Extension E2 (scale): amortized chaos campaign");
   const std::size_t hw = util::ThreadPool::hardware_threads();
   const std::size_t effective = std::min(jobs, hw);
   std::printf("case %s, %zu runs, intensity %g, --jobs %zu "
               "(%zu hardware threads -> %zu effective), %zu rep(s)\n\n",
-              case_name.c_str(), options.runs, intensity, jobs, hw,
+              case_name.c_str(), options.runs, config.intensity, jobs, hw,
               effective, reps);
 
-  // Warmup: one small pooled campaign pages in code and pool workers.
+  // Warmup: one small campaign pages in code and pool workers.
   {
     pipeline::CampaignOptions w = options;
     w.runs = std::min<std::size_t>(options.runs, 8);
     w.threads = jobs;
     (void)pipeline::run_campaign(
-        pipeline::make_case_runner_factory(case_name, pooled), w);
+        pipeline::make_case_runner_factory(case_name, config), w);
   }
 
   pipeline::CampaignOptions serial_opts = options;
@@ -352,54 +337,43 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
   pipeline::CampaignOptions parallel_opts = options;
   parallel_opts.threads = jobs;
 
-  ScaleLeg serial(pooled, serial_opts);
-  ScaleLeg parallel(pooled, parallel_opts);
-  ScaleLeg fresh_leg(fresh, parallel_opts);
+  ScaleLeg serial(serial_opts);
+  ScaleLeg parallel(parallel_opts);
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    run_scale_rep(case_name, serial);
-    run_scale_rep(case_name, parallel);
-    run_scale_rep(case_name, fresh_leg);
+    run_scale_rep(case_name, config, serial);
+    run_scale_rep(case_name, config, parallel);
   }
-  for (ScaleLeg* leg : {&serial, &parallel, &fresh_leg})
+  for (ScaleLeg* leg : {&serial, &parallel})
     leg->seconds = leg->timed.seconds();
 
-  std::printf("serial (pooled):    %.2fs  %s\n", serial.seconds,
+  std::printf("serial:     %.2fs  %s\n", serial.seconds,
               pipeline::summarize(serial.stats).c_str());
   serial.timed.phases.print("phases:");
-  std::printf("--jobs %zu (pooled):  %.2fs\n", jobs, parallel.seconds);
+  std::printf("--jobs %zu:  %.2fs\n", jobs, parallel.seconds);
   parallel.timed.phases.print("phases:");
-  std::printf("--jobs %zu (fresh):   %.2fs (per-run construction, "
-              "pre-pool path)\n",
-              jobs, fresh_leg.seconds);
-  fresh_leg.timed.phases.print("phases:");
 
-  const bool stats_identical = serial.stats == parallel.stats &&
-                               serial.stats == fresh_leg.stats;
+  const bool stats_identical = serial.stats == parallel.stats;
   // Equal snapshots only prove something if they recorded the campaign.
   const std::uint64_t recorded_runs =
       serial.snapshot.counter_value("campaign.runs");
   const bool obs_identical =
       recorded_runs == options.runs &&
-      serial.snapshot.deterministic_equal(parallel.snapshot) &&
-      serial.snapshot.deterministic_equal(fresh_leg.snapshot);
+      serial.snapshot.deterministic_equal(parallel.snapshot);
   const double speedup = parallel.seconds > 0.0
                              ? serial.seconds / parallel.seconds
                              : 0.0;
   const double efficiency =
       effective > 0 ? speedup / static_cast<double>(effective) : 0.0;
-  const double pool_gain = parallel.seconds > 0.0
-                               ? fresh_leg.seconds / parallel.seconds
-                               : 0.0;
 
-  std::printf("\nstats bit-identical (serial == parallel == fresh): %s\n",
+  std::printf("\nstats bit-identical (serial == parallel): %s\n",
               stats_identical ? "yes" : "NO");
-  std::printf("obs snapshots bit-identical:                       %s "
+  std::printf("obs snapshots bit-identical:              %s "
               "(campaign.runs %llu of %zu)\n",
               obs_identical ? "yes" : "NO",
               static_cast<unsigned long long>(recorded_runs), options.runs);
   std::printf("speedup %.2fx over serial at --jobs %zu; efficiency %.2f "
-              "of %zu effective core(s); pooled %.2fx vs fresh\n",
-              speedup, jobs, efficiency, effective, pool_gain);
+              "of %zu effective core(s)\n",
+              speedup, jobs, efficiency, effective);
 
   // cmp(1)-able stats for the tier-1 scaling gate.
   const std::string stats_out = cli.get("stats-out");
@@ -426,15 +400,14 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
   }
   os << "{\n  \"mode\": \"scale\",\n  \"case\": \"" << case_name
      << "\",\n  \"runs\": " << options.runs << ",\n  \"reps\": " << reps
-     << ",\n  \"intensity\": " << intensity << ",\n  \"jobs\": " << jobs
+     << ",\n  \"intensity\": " << config.intensity
+     << ",\n  \"jobs\": " << jobs
      << ",\n  \"hardware_threads\": " << hw
      << ",\n  \"effective_jobs\": " << effective
      << ",\n  \"serial_seconds\": " << serial.seconds
      << ",\n  \"parallel_seconds\": " << parallel.seconds
-     << ",\n  \"fresh_parallel_seconds\": " << fresh_leg.seconds
      << ",\n  \"speedup\": " << speedup
      << ",\n  \"efficiency\": " << efficiency
-     << ",\n  \"pooled_vs_fresh\": " << pool_gain
      << ",\n  \"stats_identical\": "
      << (stats_identical ? "true" : "false")
      << ",\n  \"obs_identical\": " << (obs_identical ? "true" : "false")
@@ -442,8 +415,6 @@ int run_scale(const util::Cli& cli, pipeline::CampaignOptions options,
   serial.timed.phases.write_json(os);
   os << ",\n  \"parallel_phases\": ";
   parallel.timed.phases.write_json(os);
-  os << ",\n  \"fresh_phases\": ";
-  fresh_leg.timed.phases.write_json(os);
   os << ",\n  \"triggered\": " << serial.stats.triggered
      << ",\n  \"failed\": " << serial.stats.failed
      << ",\n  \"timed_out\": " << serial.stats.timed_out << "\n}\n";
@@ -472,7 +443,7 @@ int main(int argc, char** argv) {
                "4");
   cli.add_flag("scale",
                "scale mode: run ONE chaos campaign of this many seeds "
-               "through serial/parallel/fresh legs (0 = off)", "0");
+               "through serial and parallel legs (0 = off)", "0");
   cli.add_flag("faults", "scale mode: fault intensity", "0.5");
   cli.add_flag("cycle-budget",
                "scale mode: watchdog event budget per run, 0 = unlimited",
@@ -502,24 +473,37 @@ int main(int argc, char** argv) {
   const std::string case_name = cli.get("case");
   if (!bench::check_case(case_name, {"I", "II", "III", "all"})) return 2;
 
+  // Every flag is read before the mode is chosen, so a bad value is a
+  // usage error in every mode, not only in the one that uses it.
   pipeline::CampaignOptions options;
   options.runs = static_cast<std::size_t>(cli.get_positive_int("runs"));
   options.k = static_cast<std::size_t>(cli.get_positive_int("top-k"));
   options.first_seed = static_cast<std::uint64_t>(cli.get_int("first-seed"));
+  pipeline::CampaignOptions durable = options;
+  durable.journal_path = cli.get("journal");
+  durable.resume = cli.get_switch("resume");
+  durable.max_retries =
+      static_cast<std::size_t>(cli.get_nonneg_int("retries"));
+  durable.harness_faults.kill_after_appends =
+      static_cast<std::uint64_t>(cli.get_nonneg_int("kill-after"));
   std::size_t jobs = bench::parse_jobs(cli);
-  // Read before the mode is chosen, so a bad value is a usage error in
-  // every mode, not only in the one that uses it.
   const auto reps = static_cast<std::size_t>(cli.get_positive_int("reps"));
-  const double intensity = cli.get_nonneg_double("faults");
+  const auto warmup = static_cast<std::size_t>(cli.get_nonneg_int("warmup"));
+  const auto scale = static_cast<std::size_t>(cli.get_nonneg_int("scale"));
+  pipeline::CaseRunnerConfig chaos;
+  chaos.intensity = cli.get_nonneg_double("faults");
+  chaos.event_budget =
+      static_cast<std::uint64_t>(cli.get_nonneg_int("cycle-budget"));
+  chaos.trace_round_trip = chaos.intensity > 0.0;
   const double min_efficiency = cli.get_nonneg_double("min-efficiency");
 
-  if (!cli.get("journal").empty()) return run_durable(cli, options, jobs);
+  if (!durable.journal_path.empty()) return run_durable(cli, durable, jobs);
   // The timed legs' phase tables read the registry's timers.
   obs::Registry::global().set_enabled(true);
-  if (cli.get_nonneg_int("scale") > 0)
-    return run_scale(cli, options, jobs, reps, intensity, min_efficiency);
-
-  const auto warmup = static_cast<std::size_t>(cli.get_nonneg_int("warmup"));
+  if (scale > 0) {
+    options.runs = scale;
+    return run_scale(cli, options, chaos, jobs, reps, min_efficiency);
+  }
 
   bench::section("Extension E2: randomized campaigns (trigger vs detect)");
   std::printf("jobs: %zu, %zu timed rep(s) per leg (median), warmup %zu "

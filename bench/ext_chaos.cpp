@@ -40,7 +40,7 @@ namespace {
 // round-trip + analysis fallbacks) lives in the pooled case-runner
 // factories (pipeline/worker_pool, DESIGN.md §15): each campaign worker
 // amortizes its world/trace allocations across seeds, bit-identically to
-// the historic fresh-construction runners.
+// a cold runner built for each seed.
 
 /// Chaos-ladder factory at `intensity` (trace round-trip included).
 pipeline::ScenarioRunnerFactory chaos_factory(const std::string& case_name,

@@ -190,7 +190,8 @@ int main(int argc, char** argv) {
   const auto streams = static_cast<std::size_t>(cli.get_positive_int("streams"));
   const auto first_seed =
       static_cast<std::uint64_t>(cli.get_int("first-seed"));
-  const double run_seconds = cli.get_positive_double("run-seconds");
+  const double run_seconds =
+      cli.get_duration("run-seconds", sim::kCyclesPerSecond);
   const double chaos = cli.get_nonneg_double("chaos");
   std::size_t jobs = bench::parse_jobs(cli);
 

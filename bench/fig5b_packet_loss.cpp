@@ -31,8 +31,9 @@ int main(int argc, char** argv) {
 
   apps::Case2Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.run_seconds = cli.get_positive_double("run-seconds");
-  config.mean_interval_ms = cli.get_positive_double("mean-interval-ms");
+  config.run_seconds = cli.get_duration("run-seconds", sim::kCyclesPerSecond);
+  config.mean_interval_ms = cli.get_duration("mean-interval-ms",
+                                             sim::kCyclesPerSecond, 1e3);
   const bool fixed = cli.get_switch("fixed");
   if (fixed) config.relay_mutation = apps::RelayMutation::None;
 

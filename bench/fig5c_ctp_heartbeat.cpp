@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   apps::Case3Config config;
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
-  config.run_seconds = cli.get_positive_double("run-seconds");
+  config.run_seconds = cli.get_duration("run-seconds", sim::kCyclesPerSecond);
   const bool fixed = cli.get_switch("fixed");
   if (fixed) config.app.mutation = apps::CtpMutation::None;
 

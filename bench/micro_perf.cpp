@@ -277,8 +277,8 @@ MlGridResult run_ml_config(MlShape shape) {
   res.d = d;
   res.distinct_rows = shape.distinct == 0 ? l : shape.distinct;
   ml::Matrix x = repeated_matrix(l, d, shape.distinct, 0xfeed + l + d);
-  ml::KernelSpec spec;  // RBF, auto gamma
-  double gamma = ml::resolve_gamma(spec, d);
+  ml::KernelSpec spec;  // RBF
+  double gamma = ml::resolve_gamma(d);
   const std::size_t reps = l >= 1000 ? 2 : 3;
 
   // Untimed warm-up: sizes both output buffers and faults their pages in,

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   net::make_grid(channel, rows, cols);
   for (auto& app : ctp_apps) app->start();
 
-  double seconds = cli.get_positive_double("seconds");
+  double seconds = cli.get_duration("seconds", sim::kCyclesPerSecond);
   queue.run_until(sim::cycles_from_seconds(seconds));
 
   std::printf("ran %.0f virtual seconds on a %zux%zu grid (loss %.0f%%)\n\n",

@@ -32,7 +32,7 @@ cmake --build build-tsan -j "${JOBS}" \
 ./build-tsan/tests/campaign_test
 # The amortized campaign engine (DESIGN.md §15): worker-local arenas and
 # chunked seed claiming are the newest concurrency surface; the
-# pooled-vs-fresh parity battery runs under TSan so a race in the reset
+# warm-vs-cold parity battery runs under TSan so a race in the reset
 # path cannot hide behind determinism.
 ./build-tsan/tests/worker_pool_test
 ./build-tsan/tests/obs_test
@@ -125,8 +125,10 @@ cmake --build build-asan -j "${JOBS}" \
 # Counts whose consumer needs at least one are read as positive integers,
 # so 0 is a usage error too, not a crash or a failed precondition. Numeric
 # flags are read as finite numbers (NaN would switch a gate's floor off),
-# and durations, widths and scales as positive ones, intensities and
-# floors as non-negative ones, probabilities inside [0, 1].
+# scales as positive ones, intensities and floors as non-negative ones,
+# probabilities inside [0, 1], and durations as 1 to 2^64-1 clock cycles
+# (1e300 s used to overflow the cast to cycles). ext_campaign reads every
+# flag before it picks a mode, so a flag of another mode is checked too.
 for cmd in "bench/fig5a_data_pollution --rows -1" "bench/ext_chaos --runs -1" \
   "bench/ext_campaign --runs -2" "bench/ext_fleet --streams -1" \
   "bench/ext_localization --top-k -1" "bench/ext_fleet --streams 0" \
@@ -142,7 +144,11 @@ for cmd in "bench/fig5a_data_pollution --rows -1" "bench/ext_chaos --runs -1" \
   "bench/ext_chaos --faults -1" "bench/ext_fleet --chaos nan" \
   "bench/ablation_granularity --window-ms nan" \
   "bench/fig5b_packet_loss --mean-interval-ms -5" "bench/ext_sim --reps 0" \
-  "bench/ext_campaign --min-efficiency nan" "bench/ext_sim --min-mips nan"; do
+  "bench/ext_campaign --min-efficiency nan" "bench/ext_sim --min-mips nan" \
+  "bench/ext_campaign --runs 1 --reps 1 --warmup 0 --cycle-budget abc" \
+  "bench/ext_campaign --case II --runs 1 --journal build/bad.journal --warmup abc" \
+  "bench/fig5b_packet_loss --run-seconds 1e300" \
+  "bench/ablation_granularity --window-ms 1e300"; do
   set +e
   ./build/${cmd} > /dev/null 2>&1
   STATUS=$?
@@ -187,10 +193,10 @@ EOF
 cmp build/metrics_j1.json build/metrics_j2.json
 
 # Scaling regression gate (DESIGN.md §15.5): a reduced chaos campaign
-# through the amortized engine, serial vs --jobs 2, pooled vs fresh.
-# ext_campaign --scale exits nonzero on any stats or obs-snapshot
-# divergence between the three legs, when the serial leg's snapshot did
-# not count all 200 runs, or when parallel efficiency
+# through the amortized engine, serial vs --jobs 2. ext_campaign --scale
+# exits nonzero on any stats or obs-snapshot divergence between the two
+# legs, when the serial leg's snapshot did not count all 200 runs, or when
+# parallel efficiency
 # (speedup / min(jobs, hardware cores)) drops below the floor — 0.55
 # tolerates single-core containers and scheduler noise while still
 # catching a reintroduced hot-path lock, which lands far below it.
@@ -221,7 +227,7 @@ for case in grid["cases"]:
     for leg in ("serial_phases", "parallel_phases"):
         check(f"{case['name']} {leg}", case[leg])
 scale = json.load(open("build/BENCH_scale_smoke.json"))
-for leg in ("serial_phases", "parallel_phases", "fresh_phases"):
+for leg in ("serial_phases", "parallel_phases"):
     check(f"scale {leg}", scale[leg])
 EOF
 
@@ -286,16 +292,20 @@ rm -f build/BENCH_corpus_j1.json build/BENCH_corpus_j2.json
 test -s build/BENCH_sim_smoke.json
 
 # Benchmark package (BENCHMARK.json, perfbench/README.md): its own build
-# tree and tests, then a short traced chaos-II smoke. Traced mode rebuilds
-# every seeded run from the layers' public calls — the trace codec's
+# tree and tests, then a short traced smoke of each workload. Traced mode
+# rebuilds every seeded run from the layers' public calls — run_case1..3
+# on the benchmark's own WorldArena, and for chaos-II the trace codec's
 # stream wrappers — and exits non-zero unless each rebuilt run matches the
-# program's pooled runner, which round-trips through the codec's
-# single-buffer entry points into recycled arena buffers. sentbench
-# refuses debug and sanitizer builds and needs 2 hardware threads.
+# program's runner, which builds its worlds on the runner's arena and
+# round-trips through the codec's single-buffer entry points into
+# recycled arena buffers. sentbench refuses debug and sanitizer builds and
+# needs 2 hardware threads.
 cmake -S perfbench -B .bench_build
 cmake --build .bench_build -j "${JOBS}"
 ctest --test-dir .bench_build --output-on-failure
-.bench_build/sentbench --workload chaos-II --seconds 2 --trace 1
+for workload in chaos-II clean-III pooled-I; do
+  .bench_build/sentbench --workload "${workload}" --seconds 2 --trace 1
+done
 
 # Reachability gate: an -O0 --gc-sections build of the bench drivers,
 # examples and sentbench in build-reach/; fails on an out-of-line src/
@@ -303,4 +313,4 @@ ctest --test-dir .bench_build --output-on-failure
 # names it with a reason, and on a stale allowlist line.
 scripts/reachability.sh
 
-echo "tier-1 OK (incl. TSan concurrency/obs/stream/worker-pool/corpus/ocsvm-pool + ASan/UBSan fault-surface/property/golden/sim-digest/net/apps/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML kernel floor + vMIPS gate + perfbench tests and traced chaos-II smoke + reachability gate)"
+echo "tier-1 OK (incl. TSan concurrency/obs/stream/worker-pool/corpus/ocsvm-pool + ASan/UBSan fault-surface/property/golden/sim-digest/net/apps/stream/worker-pool/corpus/ocsvm + chaos + fleet soak + obs + scaling gate + phase tables + corpus sweep parity + ML kernel floor + vMIPS gate + perfbench tests and traced smokes + reachability gate)"

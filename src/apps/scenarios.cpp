@@ -15,21 +15,6 @@ namespace sent::apps {
 
 namespace {
 
-/// The run's event queue: the arena's pooled one (scrubbed by checkout)
-/// when amortizing, a fresh local otherwise. Either way the world starts
-/// from the same logical blank state.
-sim::EventQueue& select_queue(WorldArena* arena,
-                              std::optional<sim::EventQueue>& local) {
-  if (arena) return arena->checkout_queue();
-  return local.emplace();
-}
-
-/// Recycled trace capacity for a node about to be built (empty without an
-/// arena — identical recording behaviour either way).
-trace::NodeTrace buffer(WorldArena* arena) {
-  return arena ? arena->take_buffer() : trace::NodeTrace{};
-}
-
 /// Build the run's injector when the plan has runtime faults; a clean plan
 /// yields nullopt and the run proceeds exactly as before fault injection
 /// existed (no substream derived, nothing scheduled).
@@ -65,6 +50,8 @@ std::uint64_t Case1Result::total_pollutions() const {
 Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
   SENT_REQUIRE(!config.sample_periods_ms.empty());
   SENT_REQUIRE(config.run_seconds > 0);
+  WorldArena local;
+  if (!arena) arena = &local;
   Case1Result result;
   util::Rng master(config.seed);
 
@@ -72,19 +59,18 @@ Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
     double d_ms = config.sample_periods_ms[r];
     util::Rng run_rng = master.substream("case1-run" + std::to_string(r));
 
-    std::optional<sim::EventQueue> local_queue;
-    sim::EventQueue& queue = select_queue(arena, local_queue);
+    sim::EventQueue& queue = arena->checkout_queue();
     if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
     net::Channel channel(queue, run_rng.substream("channel"));
     auto injector =
         make_injector(queue, config.faults, run_rng, config.run_seconds);
 
-    os::Node sink_node(0, queue, buffer(arena));
+    os::Node sink_node(0, queue, arena->take_buffer());
     hw::RadioChip sink_chip(queue, sink_node.machine(), channel, 0,
                             run_rng.substream("sink-chip"), config.radio);
     SinkApp sink(sink_node, sink_chip);
 
-    os::Node sensor_node(1, queue, buffer(arena));
+    os::Node sensor_node(1, queue, arena->take_buffer());
     hw::RadioChip sensor_chip(queue, sensor_node.machine(), channel, 1,
                               run_rng.substream("sensor-chip"),
                               config.radio);
@@ -120,7 +106,7 @@ Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
     result.runs.push_back(std::move(run));
     // The sink's trace is never consumed; bank its capacity for the next
     // sub-run / seed.
-    if (arena) arena->recycle(sink_node.take_trace());
+    arena->recycle(sink_node.take_trace());
   }
   return result;
 }
@@ -129,11 +115,12 @@ Case1Result run_case1(const Case1Config& config, WorldArena* arena) {
 
 Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
   SENT_REQUIRE(config.run_seconds > 0);
+  WorldArena local;
+  if (!arena) arena = &local;
   util::Rng master(config.seed);
   util::Rng rng = master.substream("case2");
 
-  std::optional<sim::EventQueue> local_queue;
-  sim::EventQueue& queue = select_queue(arena, local_queue);
+  sim::EventQueue& queue = arena->checkout_queue();
   if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
   net::Channel channel(queue, rng.substream("channel"));
   auto injector =
@@ -144,12 +131,12 @@ Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
     channel.set_loss_rate(config.loss_rate);
   }
 
-  os::Node sink_node(0, queue, buffer(arena));
+  os::Node sink_node(0, queue, arena->take_buffer());
   hw::RadioChip sink_chip(queue, sink_node.machine(), channel, 0,
                           rng.substream("chip0"), config.radio);
   SinkApp sink(sink_node, sink_chip);
 
-  os::Node relay_node(1, queue, buffer(arena));
+  os::Node relay_node(1, queue, arena->take_buffer());
   hw::RadioChip relay_chip(queue, relay_node.machine(), channel, 1,
                            rng.substream("chip1"), config.radio);
   RelayConfig relay_config;
@@ -158,7 +145,7 @@ Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
   relay_config.mailbox_iteration_cost = config.relay_mailbox_iteration_cost;
   RelayApp relay(relay_node, relay_chip, relay_config);
 
-  os::Node source_node(2, queue, buffer(arena));
+  os::Node source_node(2, queue, arena->take_buffer());
   hw::RadioChip source_chip(queue, source_node.machine(), channel, 2,
                             rng.substream("chip2"), config.source_radio);
   RandomSourceConfig src_config;
@@ -192,10 +179,8 @@ Case2Result run_case2(const Case2Config& config, WorldArena* arena) {
   result.relay_dropped_busy = relay.dropped_busy();
   result.sink_received = sink.received(proto::am::kForward);
   // Only the relay trace leaves with the result; bank the other two.
-  if (arena) {
-    arena->recycle(sink_node.take_trace());
-    arena->recycle(source_node.take_trace());
-  }
+  arena->recycle(sink_node.take_trace());
+  arena->recycle(source_node.take_trace());
   return result;
 }
 
@@ -209,14 +194,15 @@ std::size_t Case3Result::hung_nodes() const {
 
 Case3Result run_case3(const Case3Config& config, WorldArena* arena) {
   SENT_REQUIRE(config.run_seconds > 0);
+  WorldArena local;
+  if (!arena) arena = &local;
   const std::size_t n = config.rows * config.cols;
   SENT_REQUIRE(n >= 2);
   SENT_REQUIRE(config.num_sources >= 1 && config.num_sources < n);
   util::Rng master(config.seed);
   util::Rng rng = master.substream("case3");
 
-  std::optional<sim::EventQueue> local_queue;
-  sim::EventQueue& queue = select_queue(arena, local_queue);
+  sim::EventQueue& queue = arena->checkout_queue();
   if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
   net::Channel channel(queue, rng.substream("channel"));
   auto injector =
@@ -241,7 +227,8 @@ Case3Result run_case3(const Case3Config& config, WorldArena* arena) {
   std::vector<std::unique_ptr<CtpHeartbeatApp>> ctp_apps;
   for (std::size_t i = 0; i < n; ++i) {
     auto id = static_cast<net::NodeId>(i);
-    nodes.push_back(std::make_unique<os::Node>(id, queue, buffer(arena)));
+    nodes.push_back(
+        std::make_unique<os::Node>(id, queue, arena->take_buffer()));
     chips.push_back(std::make_unique<hw::RadioChip>(
         queue, nodes[i]->machine(), channel, id,
         rng.substream("chip" + std::to_string(i)), config.radio));
@@ -289,13 +276,14 @@ std::uint64_t Case4Result::total_torn() const {
 
 Case4Result run_case4(const Case4Config& config, WorldArena* arena) {
   SENT_REQUIRE(config.run_seconds > 0);
+  WorldArena local;
+  if (!arena) arena = &local;
   const std::size_t n = config.rows * config.cols;
   SENT_REQUIRE(n >= 2);
   util::Rng master(config.seed);
   util::Rng rng = master.substream("case4");
 
-  std::optional<sim::EventQueue> local_queue;
-  sim::EventQueue& queue = select_queue(arena, local_queue);
+  sim::EventQueue& queue = arena->checkout_queue();
   if (config.event_budget) queue.set_watchdog_budget(config.event_budget);
   net::Channel channel(queue, rng.substream("channel"));
   auto injector =
@@ -306,7 +294,8 @@ Case4Result run_case4(const Case4Config& config, WorldArena* arena) {
   std::vector<std::unique_ptr<DisseminationApp>> diss_apps;
   for (std::size_t i = 0; i < n; ++i) {
     auto id = static_cast<net::NodeId>(i);
-    nodes.push_back(std::make_unique<os::Node>(id, queue, buffer(arena)));
+    nodes.push_back(
+        std::make_unique<os::Node>(id, queue, arena->take_buffer()));
     chips.push_back(std::make_unique<hw::RadioChip>(
         queue, nodes[i]->machine(), channel, id,
         rng.substream("chip" + std::to_string(i)), config.radio));

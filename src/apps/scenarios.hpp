@@ -1,7 +1,7 @@
 // End-to-end simulation scenarios for the case studies (§VI, plus the
 // case-IV extension).
 //
-// Each run_caseN builds a fresh world (event queue, channel, nodes, devices,
+// Each run_caseN builds a world (event queue, channel, nodes, devices,
 // applications), runs it for the configured virtual duration, and returns
 // the recorded node traces plus application-level ground truth. Which bug
 // each app carries is its config's mutation enum: the default is the
@@ -32,13 +32,13 @@
 
 namespace sent::apps {
 
-// Every run_caseN accepts an optional WorldArena (worker-local amortized
-// state, DESIGN.md §15). With an arena the run borrows the pooled event
-// queue (reset first) and recycled trace buffers instead of allocating
-// fresh ones, and banks its trace capacity back when the caller recycles
-// the result; without one (the default) behaviour is exactly the historic
-// fresh-construction path. The two paths are bit-identical — the parity
-// battery in tests/worker_pool_test.cpp holds them to it.
+// Every world is built on a WorldArena (worker-local amortized state,
+// DESIGN.md §15): the run borrows the arena's event queue (reset first)
+// and its recycled trace buffers, and banks its trace capacity back when
+// the caller recycles the result. A caller that passes no arena gets a
+// function-local one, which dies with the run. A warm arena and a cold one
+// build bit-identical worlds — the parity battery in
+// tests/worker_pool_test.cpp holds them to it.
 
 // Every case config carries the same two robustness knobs (DESIGN.md §9):
 //

@@ -8,8 +8,8 @@
 // of world construction — the slab growth and the multi-megabyte
 // instruction streams — is paid once per worker instead of once per run.
 // Everything else (nodes, chips, apps, fault injectors) is rebuilt per
-// seed: those constructions are cheap and rebuilding keeps pooled runs
-// bit-identical to fresh ones by construction.
+// seed: those constructions are cheap and rebuilding keeps a warm arena's
+// runs bit-identical to a cold one's by construction.
 //
 // Not thread-safe; one arena per worker, never shared.
 #pragma once

@@ -24,26 +24,6 @@ void for_instrs_in_window(std::span<const trace::InstrExec> instrs,
   }
 }
 
-}  // namespace
-
-std::vector<std::string> instruction_counter_names(
-    const std::vector<trace::InstrMeta>& table) {
-  std::vector<std::string> names;
-  names.reserve(table.size());
-  for (const auto& meta : table)
-    names.push_back(meta.code_object + "/" + meta.name);
-  return names;
-}
-
-void instruction_counter_row(std::span<const trace::InstrExec> instrs,
-                             const EventInterval& interval,
-                             std::span<double> row) {
-  for_instrs_in_window(instrs, interval, [&](trace::InstrId id) {
-    SENT_ASSERT(id < row.size());
-    row[id] += 1.0;
-  });
-}
-
 const std::vector<std::string>& coarse_feature_names() {
   static const std::vector<std::string> names = {
       "duration_cycles", "instr_executed", "task_count", "posts_in_window",
@@ -51,18 +31,18 @@ const std::vector<std::string>& coarse_feature_names() {
   return names;
 }
 
+/// Coarse scalar row over the whole trace's instruction and lifecycle
+/// sequences.
 void coarse_row(std::span<const trace::InstrExec> instrs,
                 std::span<const trace::LifecycleItem> items,
-                std::size_t items_base, const EventInterval& interval,
-                std::span<double> row) {
-  SENT_ASSERT(interval.start_index >= items_base);
+                const EventInterval& interval, std::span<double> row) {
   double instr_executed = 0;
   for_instrs_in_window(instrs, interval,
                        [&](trace::InstrId) { instr_executed += 1.0; });
   double posts = 0, ints = 0;
   for (std::size_t i = interval.start_index;
-       i <= interval.end_index && i - items_base < items.size(); ++i) {
-    const auto& item = items[i - items_base];
+       i <= interval.end_index && i < items.size(); ++i) {
+    const auto& item = items[i];
     posts += item.kind == trace::LifecycleKind::PostTask;
     ints += item.kind == trace::LifecycleKind::Int;
   }
@@ -72,6 +52,15 @@ void coarse_row(std::span<const trace::InstrExec> instrs,
   row[3] = posts;
   row[4] = ints;
 }
+
+/// Static instruction -> code-object column mapping (columns in order of
+/// first appearance in the table).
+struct CodeObjectColumns {
+  std::vector<std::string> names;
+  std::vector<std::size_t> instr_to_column;
+
+  static CodeObjectColumns build(const std::vector<trace::InstrMeta>& table);
+};
 
 CodeObjectColumns CodeObjectColumns::build(
     const std::vector<trace::InstrMeta>& table) {
@@ -97,6 +86,26 @@ void code_object_row(std::span<const trace::InstrExec> instrs,
   });
 }
 
+}  // namespace
+
+std::vector<std::string> instruction_counter_names(
+    const std::vector<trace::InstrMeta>& table) {
+  std::vector<std::string> names;
+  names.reserve(table.size());
+  for (const auto& meta : table)
+    names.push_back(meta.code_object + "/" + meta.name);
+  return names;
+}
+
+void instruction_counter_row(std::span<const trace::InstrExec> instrs,
+                             const EventInterval& interval,
+                             std::span<double> row) {
+  for_instrs_in_window(instrs, interval, [&](trace::InstrId id) {
+    SENT_ASSERT(id < row.size());
+    row[id] += 1.0;
+  });
+}
+
 FeatureMatrix instruction_counters(
     const trace::NodeTrace& trace, std::span<const EventInterval> intervals) {
   SENT_REQUIRE_MSG(!trace.instr_table.empty(),
@@ -118,8 +127,7 @@ FeatureMatrix coarse_features(const trace::NodeTrace& trace,
   m.names = coarse_feature_names();
   m.values = ml::Matrix(intervals.size(), m.names.size());
   for (std::size_t r = 0; r < intervals.size(); ++r)
-    coarse_row(trace.instrs, trace.lifecycle, 0, intervals[r],
-               m.values.row(r));
+    coarse_row(trace.instrs, trace.lifecycle, intervals[r], m.values.row(r));
   return m;
 }
 

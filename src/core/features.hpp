@@ -50,49 +50,23 @@ FeatureMatrix code_object_counters(const trace::NodeTrace& trace,
 /// pool intervals from several nodes running the same program image.
 void append_rows(FeatureMatrix& base, const FeatureMatrix& other);
 
-// ---- per-interval row fills -----------------------------------------------
+// ---- per-interval row fill ------------------------------------------------
 //
-// The batch builders above and the streaming featurizer (src/stream) share
-// these single-interval fills, so a row computed incrementally from a
-// stream's retained buffers is bit-identical to the corresponding batch
-// row by construction. `instrs` may be any chronologically sorted span
-// that covers the interval's window; `row` must be zero-filled and sized
-// to the abstraction's column count.
+// instruction_counters and the streaming featurizer (src/stream) share this
+// single-interval fill, so a row computed incrementally from a stream's
+// retained buffers is bit-identical to the corresponding batch row by
+// construction.
 
 /// Column names for instruction_counters ("code_object/name" per entry).
 std::vector<std::string> instruction_counter_names(
     const std::vector<trace::InstrMeta>& table);
 
 /// Definition 4 row: per-static-instruction execution counts inside the
-/// interval's wall-clock window.
+/// interval's wall-clock window. `instrs` may be any chronologically sorted
+/// span that covers the window; `row` must be zero-filled and sized to the
+/// program's instruction count.
 void instruction_counter_row(std::span<const trace::InstrExec> instrs,
                              const EventInterval& interval,
                              std::span<double> row);
-
-/// Column names for coarse_features.
-const std::vector<std::string>& coarse_feature_names();
-
-/// Coarse scalar row. `items` is a window of the lifecycle sequence whose
-/// first element has absolute index `items_base`; it must cover the
-/// interval (items_base <= interval.start_index).
-void coarse_row(std::span<const trace::InstrExec> instrs,
-                std::span<const trace::LifecycleItem> items,
-                std::size_t items_base, const EventInterval& interval,
-                std::span<double> row);
-
-/// Static instruction -> code-object column mapping (columns in order of
-/// first appearance in the table), shared by code_object_counters and the
-/// streaming featurizer.
-struct CodeObjectColumns {
-  std::vector<std::string> names;
-  std::vector<std::size_t> instr_to_column;
-
-  static CodeObjectColumns build(const std::vector<trace::InstrMeta>& table);
-};
-
-/// Per-code-object execution-count row.
-void code_object_row(std::span<const trace::InstrExec> instrs,
-                     const CodeObjectColumns& columns,
-                     const EventInterval& interval, std::span<double> row);
 
 }  // namespace sent::core

@@ -185,15 +185,6 @@ void StreamAnatomizer::release(std::uint32_t idx) {
   --live_count_;
 }
 
-std::optional<std::size_t> StreamAnatomizer::earliest_open_start_index()
-    const {
-  std::optional<std::size_t> best;
-  for (const Instance& inst : slab_)
-    if (inst.live && (!best || inst.interval.start_index < *best))
-      best = inst.interval.start_index;
-  return best;
-}
-
 std::optional<sim::Cycle> StreamAnatomizer::earliest_open_start_cycle()
     const {
   std::optional<sim::Cycle> best;

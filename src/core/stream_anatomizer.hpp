@@ -71,10 +71,9 @@ class StreamAnatomizer {
   std::size_t open_instances() const { return live_count_; }
   std::size_t outstanding_tasks() const { return fifo_.size(); }
 
-  /// Smallest start index / cycle over in-flight instances; nullopt when
-  /// none are open. Streaming consumers use these as retention floors for
-  /// their instruction/lifecycle buffers.
-  std::optional<std::size_t> earliest_open_start_index() const;
+  /// Smallest start cycle over in-flight instances; nullopt when none are
+  /// open. Streaming consumers use it as the retention floor for their
+  /// instruction and bug-marker buffers.
   std::optional<sim::Cycle> earliest_open_start_cycle() const;
 
   /// Rough retained-state footprint (slab + ticket FIFO + ready queue), the

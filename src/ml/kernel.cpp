@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "util/assert.hpp"
 #include "util/stats.hpp"
@@ -10,37 +9,12 @@
 namespace sent::ml {
 
 std::string KernelSpec::to_string() const {
-  std::ostringstream os;
-  switch (type) {
-    case KernelType::Rbf:
-      os << "rbf(gamma=" << (gamma > 0 ? std::to_string(gamma) : "auto")
-         << ")";
-      break;
-    case KernelType::Linear:
-      os << "linear";
-      break;
-    case KernelType::Poly:
-      os << "poly(degree=" << degree << ")";
-      break;
-  }
-  return os.str();
+  return type == KernelType::Rbf ? "rbf(gamma=auto)" : "linear";
 }
 
-double resolve_gamma(const KernelSpec& spec, std::size_t d) {
+double resolve_gamma(std::size_t d) {
   SENT_REQUIRE(d > 0);
-  if (spec.gamma > 0) return spec.gamma;
   return 1.0 / static_cast<double>(d);
-}
-
-double powi(double base, int exponent) {
-  if (exponent < 0) return std::pow(base, exponent);
-  double result = 1.0;
-  double square = base;
-  for (int e = exponent; e > 0; e >>= 1) {
-    if (e & 1) result *= square;
-    square *= square;
-  }
-  return result;
 }
 
 double kernel_eval(const KernelSpec& spec, double gamma,
@@ -57,8 +31,6 @@ double kernel_eval(const KernelSpec& spec, double gamma,
     }
     case KernelType::Linear:
       return util::dot(a, b);
-    case KernelType::Poly:
-      return powi(gamma * util::dot(a, b) + spec.coef0, spec.degree);
   }
   SENT_ASSERT_MSG(false, "unknown kernel type");
   return 0.0;
@@ -86,8 +58,6 @@ double kernel_from_dot(const KernelSpec& spec, double gamma, double dot_ab,
                       std::max(norm_a + norm_b - 2.0 * dot_ab, 0.0));
     case KernelType::Linear:
       return dot_ab;
-    case KernelType::Poly:
-      return powi(gamma * dot_ab + spec.coef0, spec.degree);
   }
   SENT_ASSERT_MSG(false, "unknown kernel type");
   return 0.0;

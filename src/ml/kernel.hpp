@@ -1,8 +1,8 @@
 // Kernel functions for the one-class SVM.
 //
 // The RBF kernel is the paper's workhorse ("the kernel method can be
-// seamlessly applied ... it can find a nonlinear boundary"); linear and
-// polynomial kernels are provided for ablation.
+// seamlessly applied ... it can find a nonlinear boundary"), with
+// gamma = 1 / dimensionality; the linear kernel is provided for ablation.
 //
 // build_kernel_matrix is the one Gram-matrix builder (DESIGN.md §10). It
 // caches per-row squared norms so RBF entries come from one dot product —
@@ -27,38 +27,27 @@ class ThreadPool;
 
 namespace sent::ml {
 
-enum class KernelType : std::uint8_t { Rbf, Linear, Poly };
+enum class KernelType : std::uint8_t { Rbf, Linear };
 
 struct KernelSpec {
   KernelType type = KernelType::Rbf;
 
-  /// RBF/Poly gamma. <= 0 means "auto": 1 / dimensionality (sensible after
-  /// standardization, matching LIBSVM's default on scaled data).
-  double gamma = 0.0;
-
-  /// Poly only.
-  int degree = 3;
-  double coef0 = 1.0;
-
   std::string to_string() const;
 };
 
-/// Evaluate k(a, b) with `gamma` already resolved (> 0 where relevant).
+/// Evaluate k(a, b) with `gamma` from resolve_gamma (ignored by linear).
 double kernel_eval(const KernelSpec& spec, double gamma,
                    std::span<const double> a, std::span<const double> b);
 
-/// Resolve the effective gamma for dimensionality d.
-double resolve_gamma(const KernelSpec& spec, std::size_t d);
-
-/// base^exponent by squaring for integral exponents >= 0 (the poly kernel
-/// calls this per element instead of std::pow).
-double powi(double base, int exponent);
+/// The RBF gamma for dimensionality d: 1 / d (sensible after
+/// standardization, matching LIBSVM's default on scaled data).
+double resolve_gamma(std::size_t d);
 
 /// Squared Euclidean norm of every row of `x`.
 std::vector<double> row_squared_norms(const Matrix& x);
 
 /// Finish one kernel entry from a precomputed dot product and the two
-/// rows' squared norms (RBF uses the norms; linear/poly ignore them).
+/// rows' squared norms (RBF uses the norms; linear ignores them).
 double kernel_from_dot(const KernelSpec& spec, double gamma, double dot_ab,
                        double norm_a, double norm_b);
 

@@ -55,10 +55,6 @@ void finish_row(const KernelSpec& spec, double gamma, double norm_i,
     case KernelType::Linear:
       for (std::size_t t = 0; t < n; ++t) out[t] = dots[t];
       return;
-    case KernelType::Poly:
-      for (std::size_t t = 0; t < n; ++t)
-        out[t] = powi(gamma * dots[t] + spec.coef0, spec.degree);
-      return;
   }
 }
 

@@ -20,15 +20,10 @@ std::vector<double> KernelFisherDetector::score(const ml::Matrix& rows) {
   const std::size_t n = rows.rows();
   if (n == 1) return {0.0};
 
-  Matrix z;
-  if (params_.standardize) {
-    StandardScaler scaler;
-    scaler.fit(rows);
-    z = scaler.transform(rows);
-  } else {
-    z = rows;
-  }
-  double gamma = resolve_gamma(params_.kernel, d);
+  StandardScaler scaler;
+  scaler.fit(rows);
+  const Matrix z = scaler.transform(rows);
+  const double gamma = resolve_gamma(d);
 
   // Gram matrix via the norm-cached blocked build, then double centring:
   // Kc = K - 1K/n - K1/n + 11'K/n^2.

@@ -19,10 +19,9 @@
 namespace sent::ml {
 
 struct KfdParams {
-  KernelSpec kernel{};          ///< RBF by default, gamma auto
+  KernelSpec kernel{};          ///< RBF by default
   std::size_t components = 8;   ///< leading kernel principal components
   std::size_t power_iterations = 120;
-  bool standardize = true;
 };
 
 class KernelFisherDetector final : public core::OutlierDetector {

@@ -124,7 +124,7 @@ void OneClassSvm::fit(const Matrix& rows) {
     reps = group_identical_rows(scaler_.transform(raw), merged);
     for (std::uint32_t& c : cls) c = merged[c];
   }
-  gamma_ = resolve_gamma(params_.kernel, d);
+  gamma_ = resolve_gamma(d);
   dim_ = d;
 
   // The Gram over the representatives: Q(i, j) = K[cls[i] * U + cls[j]].

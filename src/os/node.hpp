@@ -20,9 +20,9 @@ namespace sent::os {
 
 class Node {
  public:
-  /// `recycled` optionally donates trace-buffer capacity from a previous
-  /// run (worker-local world pools, DESIGN.md §15); recording behaviour is
-  /// identical with or without it.
+  /// `recycled` optionally donates blank trace-buffer capacity from a
+  /// previous run (worker-local world pools, DESIGN.md §15); recording
+  /// behaviour is identical with or without it.
   Node(std::uint32_t id, sim::EventQueue& queue,
        trace::NodeTrace recycled = trace::NodeTrace{})
       : id_(id),

@@ -22,8 +22,6 @@ struct Metrics {
   obs::Counter traces = obs::Registry::global().counter("pipeline.traces");
   obs::Counter intervals =
       obs::Registry::global().counter("pipeline.intervals");
-  obs::Counter truncated_dropped =
-      obs::Registry::global().counter("pipeline.truncated_dropped");
   obs::Counter knn_fallbacks =
       obs::Registry::global().counter("pipeline.knn_fallbacks");
   obs::Histogram samples_per_analysis =
@@ -114,16 +112,6 @@ AnalysisReport analyze(const std::vector<TaggedTrace>& traces,
       obs::Span anatomize_span(Metrics::get().anatomize);
       core::Anatomizer anatomizer(node_trace);
       intervals = anatomizer.intervals_for(line);
-      if (options.drop_truncated) {
-        auto is_truncated = [](const core::EventInterval& i) {
-          return i.truncated;
-        };
-        Metrics::get().truncated_dropped.inc(static_cast<std::uint64_t>(
-            std::count_if(intervals.begin(), intervals.end(), is_truncated)));
-        intervals.erase(std::remove_if(intervals.begin(), intervals.end(),
-                                       is_truncated),
-                        intervals.end());
-      }
     }
     Metrics::get().intervals.inc(intervals.size());
     if (intervals.empty()) continue;

@@ -54,8 +54,6 @@ struct AnalysisOptions {
   FeatureKind features = FeatureKind::InstructionCounter;
   /// Detector; nullptr selects the default one-class SVM (RBF, nu=0.05).
   std::shared_ptr<core::OutlierDetector> detector;
-  /// Drop intervals cut short by the end of the recording.
-  bool drop_truncated = false;
   /// Keep the feature matrix on the report (needed for localize_top_k).
   bool keep_features = false;
   /// Borrowed pool for the default detector's kernel build and batch

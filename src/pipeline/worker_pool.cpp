@@ -47,31 +47,25 @@ apps::Scenario campaign_scenario(const std::string& name) {
   return apps::Case3Config{};
 }
 
-/// Per-runner mutable state: the arena (when pooled) and the worker's
-/// trace text buffer. Lives in the runner closure via shared_ptr because
-/// ScenarioRunner is a copyable std::function.
+/// Per-runner mutable state: the worker's arena and trace text buffer.
+/// Lives in the runner closure via shared_ptr because ScenarioRunner is a
+/// copyable std::function.
 struct RunnerState {
-  std::unique_ptr<apps::WorldArena> arena;  ///< null = fresh construction
+  apps::WorldArena arena;
   std::string text;  ///< round-trip buffer, capacity kept across seeds
-
-  void recycle(trace::NodeTrace&& t) {
-    if (arena) arena->recycle(std::move(t));
-  }
 
   /// Chaos-ladder trace I/O leg (same as bench/ext_chaos): save, perturb
   /// with the run-seeded substream, salvage-load. A zero plan perturbs
   /// nothing and the round trip is the identity. The text lives in this
-  /// worker's buffer and, when pooled, the salvage loads into an arena
-  /// buffer, so a warm pooled worker allocates nothing here.
+  /// worker's buffer and the salvage loads into an arena buffer, so a warm
+  /// worker allocates nothing here.
   trace::NodeTrace round_trip(const trace::NodeTrace& t,
                               const fault::FaultPlan& faults, util::Rng rng) {
     text.clear();
     trace::save_trace(t, text);
     text = fault::FaultInjector::perturb_trace_text(std::move(text), faults,
                                                     rng);
-    return trace::load_trace_lenient(
-               text, arena ? arena->take_buffer() : trace::NodeTrace{})
-        .trace;
+    return trace::load_trace_lenient(text, arena.take_buffer()).trace;
   }
 };
 
@@ -79,7 +73,6 @@ ScenarioRunner make_runner(const apps::Scenario& scenario,
                            const CaseRunnerConfig& config,
                            const fault::FaultPlan& faults) {
   auto state = std::make_shared<RunnerState>();
-  if (config.pooled) state->arena = std::make_unique<apps::WorldArena>();
   const obs::Phase* phase = &Metrics::get().run_case[scenario.index()];
   // Round-trip substream key: "trace-faults-<node id>" per analyzed trace
   // for case III (one trace per node), plain "trace-faults" otherwise.
@@ -90,7 +83,7 @@ ScenarioRunner make_runner(const apps::Scenario& scenario,
     apps::Simulation sim;
     {
       obs::Span span(*phase);
-      sim = apps::simulate(scenario, seed, state->arena.get());
+      sim = apps::simulate(scenario, seed, &state->arena);
     }
     std::vector<trace::NodeTrace> salvaged;
     if (config.trace_round_trip) {
@@ -108,8 +101,8 @@ ScenarioRunner make_runner(const apps::Scenario& scenario,
     }
     AnalysisReport report =
         analyze(sim.analyzed.traces, sim.analyzed.line);
-    for (trace::NodeTrace& t : salvaged) state->recycle(std::move(t));
-    for (trace::NodeTrace& t : sim.traces) state->recycle(std::move(t));
+    state->arena.recycle_all(salvaged);
+    state->arena.recycle_all(sim.traces);
     return report;
   };
 }

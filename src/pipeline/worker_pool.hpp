@@ -5,9 +5,9 @@
 // runners for the three case studies: each worker's runner owns a
 // worker-local apps::WorldArena, so across its seed batches the event
 // queue's slot slab, the heap storage and the multi-megabyte trace buffers
-// are allocated once and scrubbed between runs instead of rebuilt. The
-// pooled path is bit-identical to fresh construction — the reused surfaces
-// are exactly the ones EventQueue::reset() and
+// are allocated once and scrubbed between runs instead of rebuilt. A warm
+// runner is bit-identical to a cold one built for a single seed — the
+// reused surfaces are exactly the ones EventQueue::reset() and
 // NodeTrace::clear_keep_capacity() restore to blank, and everything else
 // is rebuilt per seed. tests/worker_pool_test.cpp holds the parity.
 //
@@ -40,9 +40,6 @@ struct CaseRunnerConfig {
   /// Chaos ladder trace I/O leg: save -> perturb -> lenient-load each
   /// analyzed trace (perturbation keyed off the run seed).
   bool trace_round_trip = false;
-  /// false = historic fresh-construction path (no arena); the parity
-  /// battery and the benches' pooled-vs-fresh legs flip this.
-  bool pooled = true;
 };
 
 /// Factory building one pooled runner per campaign worker for case `name`

@@ -101,10 +101,9 @@ struct FleetIngest::Session {
   std::uint64_t last_activity_tick = 0;
 
   core::StreamAnatomizer machine;
-  /// Retained suffixes of the three event streams, evicted up to the
-  /// earliest window any in-flight or pending interval can still need.
-  std::vector<trace::LifecycleItem> items;
-  std::size_t items_base = 0;
+  /// Retained suffixes of the instruction and bug-marker streams, evicted
+  /// up to the earliest window any in-flight or pending interval can still
+  /// need. Lifecycle items go straight into the machine.
   std::vector<trace::InstrExec> instrs;
   std::vector<trace::BugMarker> bugs;
   sim::Cycle watermark = 0;  ///< max delivered record cycle
@@ -119,12 +118,8 @@ FleetIngest::FleetIngest(IngestConfig config) : config_(std::move(config)) {
   SENT_REQUIRE(config_.reorder_window >= 1);
   SENT_REQUIRE_MSG(config_.cached_backlog <= config_.featurize_only_backlog,
                    "degradation ladder thresholds out of order");
-  if (config_.features != pipeline::FeatureKind::Coarse) {
-    SENT_REQUIRE_MSG(!config_.instr_table.empty(),
-                     "fleet ingest needs the program's instruction table");
-  }
-  if (config_.features == pipeline::FeatureKind::CodeObject)
-    code_columns_ = core::CodeObjectColumns::build(config_.instr_table);
+  SENT_REQUIRE_MSG(!config_.instr_table.empty(),
+                   "fleet ingest needs the program's instruction table");
   table_fingerprint_ = trace::instr_table_fingerprint(config_.instr_table);
   Metrics::get();  // register the metric set up front
 }
@@ -220,7 +215,6 @@ void FleetIngest::on_lifecycle(Session& s,
   if (s.poisoned) return;
   try {
     s.machine.push(item);
-    s.items.push_back(item);
   } catch (const util::AssertionError& e) {
     // Concurrency-model violation mid-stream (frames lost to a gap skip
     // can cut a handler in half): analysis for this stream stops, the
@@ -270,9 +264,7 @@ void FleetIngest::deliver(Session& s, trace::Frame frame) {
         break;
       case trace::FrameEvent::Kind::Instr: {
         const bool late = ev.instr.cycle < s.watermark;
-        const bool out_of_table =
-            config_.features != pipeline::FeatureKind::Coarse &&
-            ev.instr.instr >= config_.instr_table.size();
+        const bool out_of_table = ev.instr.instr >= config_.instr_table.size();
         if (late || out_of_table) {
           ++s.counters.instr_dropped;
           Metrics::get().instr_dropped.inc();
@@ -329,20 +321,8 @@ void FleetIngest::featurize_one(Session& s,
       slot.sample.bug_kinds.push_back(bug.kind);
     }
   }
-  switch (config_.features) {
-    case pipeline::FeatureKind::InstructionCounter:
-      slot.row.assign(config_.instr_table.size(), 0.0);
-      core::instruction_counter_row(s.instrs, interval, slot.row);
-      break;
-    case pipeline::FeatureKind::Coarse:
-      slot.row.assign(core::coarse_feature_names().size(), 0.0);
-      core::coarse_row(s.instrs, s.items, s.items_base, interval, slot.row);
-      break;
-    case pipeline::FeatureKind::CodeObject:
-      slot.row.assign(code_columns_.names.size(), 0.0);
-      core::code_object_row(s.instrs, code_columns_, interval, slot.row);
-      break;
-  }
+  slot.row.assign(config_.instr_table.size(), 0.0);
+  core::instruction_counter_row(s.instrs, interval, slot.row);
   s.sample_slots.push_back(samples_.size());
   samples_.push_back(std::move(slot));
   ++backlog_;
@@ -357,13 +337,8 @@ void FleetIngest::evict_buffers(Session& s) {
   sim::Cycle cycle_floor = s.watermark;
   if (auto c = s.machine.earliest_open_start_cycle())
     cycle_floor = std::min(cycle_floor, *c);
-  std::size_t index_floor = s.items_base + s.items.size();
-  if (auto i = s.machine.earliest_open_start_index())
-    index_floor = std::min(index_floor, *i);
-  for (const core::EventInterval& interval : s.pending) {
+  for (const core::EventInterval& interval : s.pending)
     cycle_floor = std::min(cycle_floor, interval.start_cycle);
-    index_floor = std::min(index_floor, interval.start_index);
-  }
 
   auto instr_cut = std::lower_bound(
       s.instrs.begin(), s.instrs.end(), cycle_floor,
@@ -372,12 +347,6 @@ void FleetIngest::evict_buffers(Session& s) {
   std::erase_if(s.bugs, [&](const trace::BugMarker& bug) {
     return bug.cycle < cycle_floor;
   });
-  if (index_floor > s.items_base) {
-    s.items.erase(s.items.begin(),
-                  s.items.begin() +
-                      static_cast<std::ptrdiff_t>(index_floor - s.items_base));
-    s.items_base = index_floor;
-  }
 }
 
 void FleetIngest::finalize(Session& s, sim::Cycle run_end,
@@ -404,9 +373,6 @@ void FleetIngest::finalize(Session& s, sim::Cycle run_end,
   }
   collect_intervals(s);
   featurize_ready(s, /*final_flush=*/true);
-  s.items.clear();
-  s.items.shrink_to_fit();
-  s.items_base = 0;
   s.instrs.clear();
   s.instrs.shrink_to_fit();
   s.bugs.clear();
@@ -556,25 +522,13 @@ void FleetIngest::rebuild_board() {
   }
 }
 
-std::vector<std::string> FleetIngest::feature_names() const {
-  switch (config_.features) {
-    case pipeline::FeatureKind::InstructionCounter:
-      return core::instruction_counter_names(config_.instr_table);
-    case pipeline::FeatureKind::Coarse:
-      return core::coarse_feature_names();
-    case pipeline::FeatureKind::CodeObject:
-      return code_columns_.names;
-  }
-  return {};
-}
-
 pipeline::AnalysisReport FleetIngest::final_report(
     const pipeline::AnalysisOptions& options) const {
   SENT_REQUIRE_MSG(all_terminal(),
                    "final_report() before every stream terminated");
   pipeline::AnalysisReport report;
   core::FeatureMatrix matrix;
-  matrix.names = feature_names();
+  matrix.names = core::instruction_counter_names(config_.instr_table);
   matrix.values = ml::Matrix(0, matrix.names.size());
   for (const auto& session : sessions_) {
     std::vector<std::size_t> order = session->sample_slots;
@@ -585,8 +539,6 @@ pipeline::AnalysisReport FleetIngest::final_report(
               });
     for (std::size_t i : order) {
       const SampleSlot& slot = samples_[i];
-      if (options.drop_truncated && slot.sample.interval.truncated)
-        continue;
       matrix.values.append_row(slot.row);
       report.samples.push_back(slot.sample);
     }
@@ -630,7 +582,6 @@ bool FleetIngest::all_terminal() const {
 
 std::size_t FleetIngest::session_bytes(const Session& s) const {
   return s.window_bytes + s.instrs.size() * sizeof(trace::InstrExec) +
-         s.items.size() * sizeof(trace::LifecycleItem) +
          s.bugs.size() * (sizeof(trace::BugMarker) + 16) +
          s.pending.size() * sizeof(core::EventInterval) +
          s.machine.state_bytes();

@@ -2,12 +2,13 @@
 //
 // A FleetIngest accepts interleaved per-device frame streams (the wire
 // format of trace/framing.hpp), drives one push-mode anatomizer per stream,
-// featurizes intervals the moment their instruction windows are complete,
-// and keeps a live top-K outlier board over incrementally re-scored
-// samples. After every stream terminates, final_report() re-runs the exact
-// batch scoring tail (pipeline::score_and_rank) over the accumulated rows,
-// so a clean streamed fleet ranks BIT-IDENTICALLY to pipeline::analyze over
-// the same traces (enforced by tests/stream_parity_test.cpp).
+// featurizes intervals into instruction-counter rows (Definition 4) the
+// moment their instruction windows are complete, and keeps a live top-K
+// outlier board over incrementally re-scored samples. After every stream
+// terminates, final_report() re-runs the exact batch scoring tail
+// (pipeline::score_and_rank) over the accumulated rows, so a clean
+// streamed fleet ranks BIT-IDENTICALLY to pipeline::analyze over the same
+// traces (enforced by tests/stream_parity_test.cpp).
 //
 // The robustness envelope, per stream:
 //
@@ -84,11 +85,10 @@ struct QuarantineRecord {
 };
 
 struct IngestConfig {
-  /// Event type under test (the analysis line) and feature abstraction.
+  /// Event type under test (the analysis line).
   trace::IrqLine line = 0;
-  pipeline::FeatureKind features =
-      pipeline::FeatureKind::InstructionCounter;
-  /// The fleet's program image; Hello fingerprints are checked against it.
+  /// The fleet's program image: one feature column per instruction, and
+  /// Hello fingerprints are checked against it.
   std::vector<trace::InstrMeta> instr_table;
 
   std::size_t reorder_window = 32;  ///< out-of-order frames held per stream
@@ -174,7 +174,8 @@ class FleetIngest {
   /// Batch-equivalent final analysis. Requires every stream terminal
   /// (finish_all() or End frames / eviction). Samples are assembled per
   /// stream in registration order, each stream's sorted by interval start,
-  /// matching pipeline::analyze over the same traces row for row.
+  /// matching pipeline::analyze over the same traces row for row (with the
+  /// default instruction-counter features; options.features is not read).
   pipeline::AnalysisReport final_report(
       const pipeline::AnalysisOptions& options = {}) const;
 
@@ -214,10 +215,8 @@ class FleetIngest {
   void flush_scores(bool force);
   void rebuild_board();
   std::size_t session_bytes(const Session& s) const;
-  std::vector<std::string> feature_names() const;
 
   IngestConfig config_;
-  core::CodeObjectColumns code_columns_;  ///< for FeatureKind::CodeObject
   std::uint64_t table_fingerprint_ = 0;
 
   std::vector<std::unique_ptr<Session>> sessions_;  ///< registration order

@@ -1,8 +1,19 @@
 #include "trace/recorder.hpp"
 
+#include <utility>
+
 #include "util/assert.hpp"
 
 namespace sent::trace {
+
+Recorder::Recorder(std::uint32_t node_id, NodeTrace recycled)
+    : trace_(std::move(recycled)) {
+  SENT_REQUIRE_MSG(trace_.lifecycle.empty() && trace_.instrs.empty() &&
+                       trace_.bugs.empty() && trace_.instr_table.empty() &&
+                       trace_.run_end == 0,
+                   "recycled trace buffer is not blank");
+  trace_.node_id = node_id;
+}
 
 void Recorder::on_post_task(sim::Cycle cycle, TaskId task) {
   trace_.lifecycle.push_back(

@@ -78,14 +78,11 @@ struct TaggedTrace {
 /// NodeTrace; take() moves it out at end of run.
 class Recorder {
  public:
-  /// `recycled` donates its buffer capacity (typically a trace taken from
-  /// the previous run on this worker, DESIGN.md §15); it is scrubbed before
-  /// use, so recording starts from the same logical blank slate either way.
-  explicit Recorder(std::uint32_t node_id, NodeTrace recycled = NodeTrace{})
-      : trace_(std::move(recycled)) {
-    trace_.clear_keep_capacity();
-    trace_.node_id = node_id;
-  }
+  /// `recycled` donates its buffer capacity (typically a trace from an
+  /// earlier run on this worker, scrubbed by apps::WorldArena::recycle,
+  /// DESIGN.md §15). It must be blank, so recording starts from the same
+  /// logical state either way; a stale record is a precondition error.
+  explicit Recorder(std::uint32_t node_id, NodeTrace recycled = NodeTrace{});
 
   void on_post_task(sim::Cycle cycle, TaskId task);
 

@@ -150,6 +150,17 @@ double Cli::get_probability(const std::string& name) const {
   return v;
 }
 
+double Cli::get_duration(const std::string& name, double cycles_per_second,
+                         double units_per_second) const {
+  const double v = get_double(name);
+  // The arithmetic of sim::cycles_from_seconds(v / units_per_second); 2^64
+  // is the first cycle count its cast cannot hold.
+  const double cycles = v / units_per_second * cycles_per_second;
+  if (!(cycles >= 1.0 && cycles < 0x1p64))
+    bad_value(name, get(name), "a duration of 1 to 2^64-1 clock cycles");
+  return v;
+}
+
 bool Cli::get_switch(const std::string& name) const {
   return get(name) == "true";
 }

@@ -45,6 +45,13 @@ class Cli {
   double get_nonneg_double(const std::string& name) const;
   /// get_double that rejects values outside [0, 1] (probabilities).
   double get_probability(const std::string& name) const;
+  /// A duration flag on a clock of `cycles_per_second`, in seconds or, with
+  /// units_per_second = 1e3, in milliseconds: a usage error unless it is at
+  /// least one cycle and its cycle count fits 64 bits, so the simulator's
+  /// cast to cycles can neither yield 0 nor overflow. Every duration flag
+  /// goes through this reader.
+  double get_duration(const std::string& name, double cycles_per_second,
+                      double units_per_second = 1.0) const;
   bool get_switch(const std::string& name) const;
 
  private:

@@ -135,5 +135,32 @@ TEST(CliDeathTest, ProbabilityAboveOneIsUsageError) {
   EXPECT_EQ(one.get_probability("rate"), 1.0);
 }
 
+// A duration must survive the simulator's cast to 64-bit cycles: past
+// 2^64 cycles the cast overflows (--run-seconds 1e300 used to abort), and
+// below one cycle it truncates to 0. Checked on a 1 kHz clock, so one
+// cycle is 1 ms, in seconds and in milliseconds.
+TEST(CliDeathTest, DurationOutsideCycleRangeIsUsageError) {
+  auto read = [](const char* value, double units_per_second) {
+    Cli cli;
+    cli.add_flag("run-seconds", "run length", "1");
+    const std::string arg = std::string("--run-seconds=") + value;
+    const char* argv[] = {"prog", arg.c_str()};
+    EXPECT_TRUE(cli.parse(2, argv));
+    return cli.get_duration("run-seconds", 1000.0, units_per_second);
+  };
+  EXPECT_EQ(read("0.001", 1.0), 0.001);
+  EXPECT_EQ(read("1", 1e3), 1.0);
+  EXPECT_EQ(read("1.8e16", 1.0), 1.8e16);
+  for (const char* value : {"1e300", "1.8446744073709552e16", "0.0009", "0",
+                            "-1", "nan"}) {
+    EXPECT_EXIT(read(value, 1.0), ::testing::ExitedWithCode(2),
+                "flag --run-seconds expects a")
+        << value;
+  }
+  EXPECT_EXIT(read("0.5", 1e3), ::testing::ExitedWithCode(2),
+              "flag --run-seconds expects a duration of 1 to 2\\^64-1 "
+              "clock cycles, got '0.5'");
+}
+
 }  // namespace
 }  // namespace sent::util

@@ -153,7 +153,7 @@ TEST_P(OcsvmVsReference, ObjectivesAndRankingsAgree) {
   auto [n, nu] = GetParam();
   Rows z = standardized_blob(n, 1234 + n);
   KernelSpec spec;  // rbf
-  double gamma = resolve_gamma(spec, z[0].size());
+  double gamma = resolve_gamma(z[0].size());
 
   // Reference solution.
   Reference ref = reference_solve(z, spec, gamma, nu);
@@ -254,7 +254,7 @@ class NaiveOcsvm final : public core::OutlierDetector {
     scaler_.fit(rows);
     x_ = scaler_.transform(rows);
     const std::size_t l = x_.rows();
-    gamma_ = resolve_gamma(p_.kernel, x_.cols());
+    gamma_ = resolve_gamma(x_.cols());
     const double c = 1.0 / (p_.nu * static_cast<double>(l));
     std::vector<double> q(l * l);
     for (std::size_t i = 0; i < l; ++i)

@@ -104,15 +104,6 @@ TEST(Pipeline, CoarseFeaturesSelectable) {
   EXPECT_EQ(report.feature_dim, 5u);
 }
 
-TEST(Pipeline, DropTruncatedRemovesTailIntervals) {
-  AnalysisReport keep = analyze(case1_traces(), os::irq::kAdc);
-  AnalysisOptions options;
-  options.drop_truncated = true;
-  AnalysisReport dropped = analyze(case1_traces(), os::irq::kAdc, options);
-  EXPECT_LE(dropped.samples.size(), keep.samples.size());
-  for (const auto& s : dropped.samples) EXPECT_FALSE(s.interval.truncated);
-}
-
 TEST(Pipeline, UnknownLineThrows) {
   EXPECT_THROW(analyze(case1_traces(), 63), util::PreconditionError);
   EXPECT_THROW(analyze({}, os::irq::kAdc), util::PreconditionError);

@@ -1,11 +1,11 @@
 // Amortized campaign engine (DESIGN.md §15): EventQueue::reset units,
-// WorldArena trace recycling, and the pooled-vs-fresh parity battery — a
-// reused/reset world must emit bit-identical traces and CampaignStats to a
-// freshly constructed one across all three Fig-5 cases, with and without
-// fault injection, serial and parallel. The battery's fresh leg is also
-// held to tests/golden/case_runner_stats.txt, which pins what each case
-// runner simulates and analyzes; regenerate after an intentional change
-// with:
+// WorldArena trace recycling, and the warm-vs-cold parity battery — a
+// pooled runner, whose arena is reused and reset across seeds, must emit
+// bit-identical CampaignStats to a fresh runner built for each seed,
+// across all three Fig-5 cases, with and without fault injection, serial
+// and parallel. The battery's cold leg is also held to
+// tests/golden/case_runner_stats.txt, which pins what each case runner
+// simulates and analyzes; regenerate after an intentional change with:
 //   SENT_UPDATE_GOLDEN=1 ./worker_pool_test
 #include <gtest/gtest.h>
 
@@ -95,7 +95,8 @@ TEST(EventQueueReset, RefusedInsideAnEvent) {
 // ---- WorldArena -----------------------------------------------------------
 
 // A run through a warm arena (reused queue slab + recycled trace buffers)
-// must serialize to the exact bytes of a fresh-construction run.
+// must serialize to the exact bytes of a run on run_case2's own cold,
+// function-local arena.
 TEST(WorldArena, ReusedWorldEmitsBitIdenticalTrace) {
   auto run_and_save = [](apps::WorldArena* arena) {
     apps::Case2Config config;
@@ -146,7 +147,17 @@ TEST(WorldArena, RecycledBuffersAreScrubbed) {
   EXPECT_EQ(arena.banked_buffers(), 0u);
 }
 
-// ---- pooled-vs-fresh parity battery ---------------------------------------
+// ---- warm-vs-cold parity battery ------------------------------------------
+
+/// The cold leg of `factory`: every seed runs on a fresh runner built for
+/// it alone, so no arena state crosses a seed boundary.
+ScenarioRunnerFactory cold(const ScenarioRunnerFactory& factory) {
+  return [factory](std::size_t worker) {
+    return ScenarioRunner([factory, worker](std::uint64_t seed) {
+      return factory(worker)(seed);
+    });
+  };
+}
 
 /// One fixture line: a campaign's rank-free outcome. First ranks are left
 /// out on purpose: one chaos case-III seed's rank moves at the solver's
@@ -167,27 +178,27 @@ std::string stats_line(const std::string& name, double intensity,
   return os.str();
 }
 
-// The tentpole guarantee: the pooled factories produce bit-identical
-// CampaignStats to the historic fresh-construction path across all three
-// Fig-5 cases, clean and under fault injection, at --jobs 1 and 4. The
-// chaos leg runs enough seeds that trace truncation and corruption both
-// fire, so the pooled salvage path (loads into recycled arena buffers) is
-// exercised on broken traces; the fault injector's obs counters prove it.
-// Both legs share the runner, so the fresh leg is also compared with the
-// committed fixture: a runner that simulated or analyzed the wrong thing
-// would agree with itself but not with it.
+// The tentpole guarantee: warm pooled runners produce bit-identical
+// CampaignStats to cold ones built for each seed, across all three Fig-5
+// cases, clean and under fault injection, at --jobs 1 and 4. The chaos leg
+// runs enough seeds that trace truncation and corruption both fire, so the
+// salvage path (loads into recycled arena buffers) is exercised on broken
+// traces; the fault injector's obs counters prove it. Both legs share the
+// runner, so the cold leg is also compared with the committed fixture: a
+// runner that simulated or analyzed the wrong thing would agree with
+// itself but not with it.
 TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
   obs::Registry& registry = obs::Registry::global();
   registry.set_enabled(true);
   std::string fixture_text;
   for (const std::string name : {"I", "II", "III"}) {
     for (double intensity : {0.0, 0.5}) {
-      CaseRunnerConfig pooled;
-      pooled.intensity = intensity;
-      pooled.trace_round_trip = intensity > 0.0;
-      pooled.event_budget = 50000000;
-      CaseRunnerConfig fresh = pooled;
-      fresh.pooled = false;
+      CaseRunnerConfig config;
+      config.intensity = intensity;
+      config.trace_round_trip = intensity > 0.0;
+      config.event_budget = 50000000;
+      const ScenarioRunnerFactory pooled =
+          make_case_runner_factory(name, config);
 
       CampaignOptions options;
       options.first_seed = 1;
@@ -195,8 +206,7 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
       options.k = 5;
       options.threads = 1;
       registry.reset();
-      CampaignStats golden =
-          run_campaign(make_case_runner_factory(name, fresh), options);
+      CampaignStats golden = run_campaign(cold(pooled), options);
       fixture_text += stats_line(name, intensity, golden);
       if (intensity > 0.0) {
         const obs::Snapshot faults = registry.snapshot();
@@ -208,9 +218,7 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
 
       for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
         options.threads = threads;
-        EXPECT_EQ(run_campaign(make_case_runner_factory(name, pooled),
-                               options),
-                  golden)
+        EXPECT_EQ(run_campaign(pooled, options), golden)
             << "case " << name << " intensity " << intensity << " threads "
             << threads;
       }
@@ -221,24 +229,23 @@ TEST(WorkerPoolParity, PooledMatchesFreshAcrossCasesFaultsAndJobs) {
 }
 
 // The obs counters flush at the same run boundaries either way (reset for
-// pooled, destruction for fresh), so whole-campaign snapshots agree on
-// every deterministic metric.
+// a warm runner, destruction for a cold one), so whole-campaign snapshots
+// agree on every deterministic metric.
 TEST(WorkerPoolParity, ObsSnapshotsMatchPooledVsFresh) {
-  auto snapshot_for = [](bool pooled) {
+  auto snapshot_for = [](const ScenarioRunnerFactory& factory) {
     obs::Registry::global().reset();
-    CaseRunnerConfig config;
-    config.pooled = pooled;
     CampaignOptions options;
     options.first_seed = 1;
     options.runs = 3;
     options.k = 5;
     options.threads = 1;
-    run_campaign(make_case_runner_factory("II", config), options);
+    run_campaign(factory, options);
     return obs::Registry::global().snapshot();
   };
+  const ScenarioRunnerFactory factory = make_case_runner_factory("II", {});
   obs::Registry::global().set_enabled(true);
-  obs::Snapshot pooled = snapshot_for(true);
-  obs::Snapshot fresh = snapshot_for(false);
+  obs::Snapshot pooled = snapshot_for(factory);
+  obs::Snapshot fresh = snapshot_for(cold(factory));
   obs::Registry::global().set_enabled(false);
   EXPECT_EQ(pooled.counter_value("campaign.runs"), 3u);  // really recorded
   EXPECT_TRUE(pooled.deterministic_equal(fresh));
